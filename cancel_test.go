@@ -58,6 +58,10 @@ func hardFig41Instance(t testing.TB) *reduction.VMCInstance {
 	return inst
 }
 
+// fastVerifier runs the full ladder short of the degrade rungs; the
+// "portfolio" strategy spelling resolves to it.
+var fastVerifier = coherence.NewVerifier(solver.WithStrategy(solver.StrategyFast))
+
 // TestDeadlineStrikesMidSearch drives the acceptance criterion: on a
 // hard Figure 4.1 instance, a 50ms deadline must abort every
 // search-based entry point with a budget error carrying partial stats,
@@ -79,8 +83,8 @@ func TestDeadlineStrikesMidSearch(t *testing.T) {
 			_, err := coherence.SolveAuto(ctx, inst.Exec, inst.Addr, nil)
 			return err
 		}},
-		{"coherence.SolvePortfolio", func(ctx context.Context) error {
-			_, err := coherence.SolvePortfolio(ctx, inst.Exec, inst.Addr, nil)
+		{"coherence.Verifier(fast).Solve", func(ctx context.Context) error {
+			_, err := fastVerifier.Solve(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
 		{"coherence.Coherent", func(ctx context.Context) error {
@@ -95,8 +99,8 @@ func TestDeadlineStrikesMidSearch(t *testing.T) {
 			_, err := coherence.VerifyExecutionParallel(ctx, inst.Exec, nil, 4)
 			return err
 		}},
-		{"coherence.VerifyExecutionPortfolio", func(ctx context.Context) error {
-			_, err := coherence.VerifyExecutionPortfolio(ctx, inst.Exec, nil)
+		{"coherence.Verifier(fast).Verify", func(ctx context.Context) error {
+			_, err := fastVerifier.Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"coherence.Count", func(ctx context.Context) error {
@@ -194,7 +198,7 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 	}{
 		{"coherence.Solve", func() error { _, err := coherence.Solve(ctx, simple, 0, nil); return err }},
 		{"coherence.SolveAuto", func() error { _, err := coherence.SolveAuto(ctx, simple, 0, nil); return err }},
-		{"coherence.SolvePortfolio", func() error { _, err := coherence.SolvePortfolio(ctx, simple, 0, nil); return err }},
+		{"coherence.Verifier(fast).Solve", func() error { _, err := fastVerifier.Solve(ctx, simple, 0); return err }},
 		{"coherence.SolveReadMap", func() error { _, err := coherence.SolveReadMap(ctx, simple, 0); return err }},
 		{"coherence.SolveSingleOp", func() error { _, err := coherence.SolveSingleOp(ctx, simple, 0); return err }},
 		{"coherence.SolveSingleOpRMW", func() error { _, err := coherence.SolveSingleOpRMW(ctx, rmw, 0); return err }},
@@ -214,10 +218,7 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 			_, err := coherence.VerifyExecutionParallel(ctx, simple, nil, 2)
 			return err
 		}},
-		{"coherence.VerifyExecutionPortfolio", func() error {
-			_, err := coherence.VerifyExecutionPortfolio(ctx, simple, nil)
-			return err
-		}},
+		{"coherence.Verifier(fast).Verify", func() error { _, err := fastVerifier.Verify(ctx, simple); return err }},
 		{"consistency.SolveVSC", func() error { _, err := consistency.SolveVSC(ctx, simple, nil); return err }},
 		{"consistency.SolveVSCC", func() error { _, err := consistency.SolveVSCC(ctx, simple, nil); return err }},
 		{"consistency.SolveVSCWithWriteOrders", func() error {

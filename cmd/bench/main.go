@@ -15,9 +15,9 @@
 // With -fastpath the command instead measures the polynomial fast-path
 // frontline's crossover (internal/coherence/fastpath.go): a relay-family
 // trace (see workload.GenerateRelay) is verified once through
-// solver.StrategyFast and once through the exact search with the
-// frontline ablated (solver.WithoutFastPath) under a MaxStates budget of
-// 20x the operation count. At the full size (~10^6 operations) the
+// solver.StrategyFast and once through solver.StrategyAuto — the same
+// ladder without the frontline — under a MaxStates budget of 20x the
+// operation count. At the full size (~10^6 operations) the
 // frontline decides both the coherent and the phantom-read variant in
 // seconds while the ablated exact search exhausts its state budget —
 // that crossover, committed as BENCH_PR9.json, is the evidence the
@@ -308,7 +308,7 @@ const fastpathSchema = "memverify-fastpath/v1"
 type fastpathEntry struct {
 	Name string `json:"name"`
 	// Mode is "fastpath" (solver.StrategyFast) or "exact-ablation"
-	// (solver.WithoutFastPath under a MaxStates budget of 20x ops).
+	// (solver.StrategyAuto under a MaxStates budget of 20x ops).
 	Mode string `json:"mode"`
 	// Ops is the operation count of the instance.
 	Ops int `json:"ops"`
@@ -387,8 +387,8 @@ func runFastpath(out string, quick bool, logf func(format string, args ...any)) 
 		logf("%-48s %-15s %-10s %10d states %10.0f ms\n", e.Name, e.Mode, e.Verdict, e.States, e.DurationMS)
 		report.Entries = append(report.Entries, e)
 
-		ablated := coherence.NewVerifier(solver.WithBudget(
-			solver.WithoutFastPath(), solver.WithMaxStates(fastpathBudgetFactor*n)))
+		ablated := coherence.NewVerifier(solver.WithStrategy(solver.StrategyAuto),
+			solver.WithBudget(solver.WithMaxStates(fastpathBudgetFactor*n)))
 		t0 = time.Now()
 		ar, err = ablated.SolveAddr(context.Background(), exec, 0)
 		e = fastpathEntry{

@@ -31,8 +31,11 @@ type VerifyRequest struct {
 	// Model picks the consistency model: sc, tso, pso, coherence
 	// (default), lrc or vscc.
 	Model string `json:"model,omitempty"`
-	// Strategy picks the decision-procedure family: auto (default),
-	// portfolio, resilient, exact or fast.
+	// Strategy picks which rungs of the per-address escalation ladder
+	// run: auto (default: specialists, then the exact search), fast (the
+	// polynomial fast path first; "portfolio" is an alias), exact (the
+	// search alone) or resilient (every rung, ending in unknown instead
+	// of an error when the budget runs out).
 	Strategy string `json:"strategy,omitempty"`
 	// MaxStates bounds the states explored per solve (0 = server
 	// default; always clamped to the server's ceiling).

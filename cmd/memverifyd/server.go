@@ -888,16 +888,11 @@ const (
 )
 
 // planBatch marks which hardness-ordered addresses ride the pooled batch
-// driver. Only the always-deciding pooled strategies without write
-// orders qualify — coherence.SolveBatch's fast path mirrors their
-// dispatch exactly, so the verdicts are identical either way.
-func (s *Server) planBatch(v *coherence.Verifier, exec *memory.Execution, addrs []memory.Addr) []bool {
+// driver. coherence.SolveBatch runs the same per-address ladder as
+// SolveAddr for every strategy, so the verdicts are identical either
+// way; only the address size decides.
+func (s *Server) planBatch(exec *memory.Execution, addrs []memory.Addr) []bool {
 	inBatch := make([]bool, len(addrs))
-	cfg := v.Config()
-	if (cfg.Strategy != solver.StrategyAuto && cfg.Strategy != solver.StrategyExact) ||
-		len(cfg.WriteOrders) != 0 {
-		return inBatch
-	}
 	sizes := make(map[memory.Addr]int, len(addrs))
 	for _, h := range exec.Histories {
 		for _, o := range h {
@@ -932,7 +927,7 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 	addrs := coherence.AddressesByHardness(tr.Exec)
 	reports := make([]*coherence.AddrReport, len(addrs))
 	errs := make([]error, len(addrs))
-	inBatch := s.planBatch(v, tr.Exec, addrs)
+	inBatch := s.planBatch(tr.Exec, addrs)
 
 	// The team verifier is used for the hardest shard only (addrs[0], the
 	// LPT head): giving every shard a team would multiply the request's

@@ -3,8 +3,8 @@
 // Usage:
 //
 //	vmcheck [-model coherence|sc|tso|pso|lrc|vscc] [-use-order]
-//	        [-strategy auto|portfolio|resilient|exact|fast] [-portfolio]
-//	        [-no-fastpath] [-psearch N] [-max-states N] [-timeout D] [-stats] [-cert]
+//	        [-strategy auto|fast|resilient|exact] [-psearch N]
+//	        [-max-states N] [-timeout D] [-stats] [-cert]
 //	        [-diagnose] [-explain] [-trace FILE] [-progress]
 //	        [-progress-interval D] [-debug-addr HOST:PORT] [-online]
 //	        [-resilient] [-checkpoint FILE] [-resume FILE] [trace-file]
@@ -18,15 +18,14 @@
 //
 // With -use-order, per-address "order" lines in the trace are used to
 // run the polynomial write-order algorithms of §5.2 for coherence.
-// -strategy picks the decision-procedure family with the same
-// vocabulary the memverifyd service and the Verifier facades use;
-// -portfolio and -resilient are shorthands for -strategy portfolio and
-// -strategy resilient. With the portfolio strategy, every applicable
-// coherence algorithm races on a shared worker pool and the first
-// verdict wins. The polynomial constraint-propagation frontline opens
-// the auto, portfolio and resilient strategies by default (and is the
-// whole of -strategy fast, escalating only on an explicit
-// inconclusive); -no-fastpath ablates it for A/B comparisons.
+// -strategy picks which rungs of the per-address escalation ladder run,
+// with the same vocabulary the memverifyd service and the Verifier
+// facades use: auto (the default) runs the Figure 5.3 polynomial
+// specialists, then the exact search; fast opens with the polynomial
+// constraint-propagation fast path and escalates to auto's rungs only
+// on an explicit inconclusive ("portfolio" is accepted as an alias);
+// exact runs the search alone; resilient runs every rung (-resilient is
+// its shorthand).
 // -max-states and -timeout bound the search; a blown budget reports
 // UNDECIDED. -stats prints the solver's per-solve search statistics.
 // -psearch N splits each exact search across N workers sharing one memo
@@ -47,8 +46,7 @@
 //
 // Observability (see internal/obs and the README "Observability"
 // section): -trace writes a JSONL event trace of the search (spans,
-// state enters, backtracks, memo hits, portfolio stages, race
-// outcomes); -explain renders a per-address summary of the search tree
+// state enters, backtracks, memo hits, ladder escalations); -explain renders a per-address summary of the search tree
 // and names the conflicting operations for incoherent verdicts
 // (coherence model only); -progress samples live solver throughput to
 // stderr; -debug-addr serves expvar counters and net/http/pprof
@@ -84,9 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	model := fs.String("model", "coherence", "model to verify: coherence, sc, tso, pso, lrc or vscc")
 	useOrder := fs.Bool("use-order", false, "use the trace's per-address write orders (polynomial algorithms of §5.2)")
-	strategy := fs.String("strategy", "auto", "decision strategy: auto, portfolio, resilient, exact or fast (same vocabulary as memverifyd)")
-	portfolio := fs.Bool("portfolio", false, "shorthand for -strategy portfolio")
-	noFastPath := fs.Bool("no-fastpath", false, "disable the polynomial fast-path frontline (ablation baseline; the verdict never changes, only the time to reach it)")
+	strategy := fs.String("strategy", "auto", "decision strategy: auto, fast, resilient or exact (same vocabulary as memverifyd)")
 	maxStates := fs.Int("max-states", 0, "abort search after N states (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole check, e.g. 500ms (0 = none)")
 	psearch := fs.Int("psearch", 0, "split each exact search across N workers sharing one memo table (0/1 = sequential; -stats shows the workers actually used per address)")
@@ -110,14 +106,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vmcheck: %v\n", err)
 		return 2
 	}
-	if *portfolio {
-		strat = solver.StrategyPortfolio
-	}
 	if *resilient {
 		strat = solver.StrategyResilient
 	}
 	useResilient := strat == solver.StrategyResilient
-	usePortfolio := strat == solver.StrategyPortfolio
 	if *ckPath != "" || *resumePath != "" || useResilient {
 		if *model != "coherence" || *online {
 			fmt.Fprintln(stderr, "vmcheck: -checkpoint, -resume and the resilient strategy require -model coherence (and not -online)")
@@ -129,10 +121,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		if *useOrder && useResilient {
 			fmt.Fprintln(stderr, "vmcheck: the resilient strategy uses the trace's write orders as ladder hints automatically; drop -use-order")
-			return 2
-		}
-		if usePortfolio && (*ckPath != "" || *resumePath != "") {
-			fmt.Fprintln(stderr, "vmcheck: -checkpoint/-resume need the sequential search, not the portfolio strategy")
 			return 2
 		}
 	}
@@ -177,9 +165,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	cfgOpts := []solver.ConfigOption{
 		solver.WithStrategy(strat),
 		solver.WithBudget(solver.WithMaxStates(*maxStates)),
-	}
-	if *noFastPath {
-		cfgOpts = append(cfgOpts, solver.WithBudget(solver.WithoutFastPath()))
 	}
 	if *psearch > 1 {
 		// Parallel exact search inside each hard instance. Checkpointing

@@ -479,6 +479,16 @@ P3: W x 2
 P3: W x 1
 `
 
+// ambiguousTrace is W a | W b | R a R b R a on fresh values: incoherent,
+// and the smallest trace the fast path leaves inconclusive.
+const ambiguousTrace = `init x 0
+P0: W x 1
+P1: W x 2
+P2: R x 1
+P2: R x 2
+P2: R x 1
+`
+
 // TestResilientCLI drives the degradation ladder end to end: rung
 // annotations for the exact and enumeration rungs, and the UNKNOWN
 // verdict with necessary-condition evidence when the ladder exhausts.
@@ -488,15 +498,16 @@ func TestResilientCLI(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "x: OK (fastpath, rung=fast)") {
 		t.Errorf("fast rung: code=%d out=%q", code, out)
 	}
-	// Frontline ablated: the exact rung decides as before.
-	code, out, _ = runCheck(t, []string{"-resilient", "-no-fastpath"}, coherentTrace)
-	if code != 0 || !strings.Contains(out, "x: OK (read-map, rung=exact)") {
+	// The frontline is inconclusive on the ambiguous gadget: the
+	// read-map specialist decides at the exact rung.
+	code, out, _ = runCheck(t, []string{"-resilient"}, ambiguousTrace)
+	if code != 1 || !strings.Contains(out, "x: VIOLATION (read-map, rung=exact)") {
 		t.Errorf("exact rung: code=%d out=%q", code, out)
 	}
-	// Budget too small for the exact search but only six writes: the
-	// write-order enumeration rung still refutes (frontline ablated so
-	// the ladder is what answers).
-	code, out, _ = runCheck(t, []string{"-resilient", "-no-fastpath", "-max-states", "3"}, backtrackTrace)
+	// Duplicate writes defeat the read-map specialist, and the budget is
+	// too small for the exact search, but there are only four writes:
+	// the write-order enumeration rung still refutes.
+	code, out, _ = runCheck(t, []string{"-resilient", "-max-states", "3"}, ambiguousTrace+"P3: W x 3\nP4: W x 3\n")
 	if code != 1 || !strings.Contains(out, "x: VIOLATION (write-order-enum, rung=specialist)") {
 		t.Errorf("specialist rung: code=%d out=%q", code, out)
 	}
@@ -521,7 +532,6 @@ func TestRobustnessFlagValidation(t *testing.T) {
 		{"-checkpoint", "x", "-online"},
 		{"-checkpoint", "x", "-use-order"},
 		{"-resilient", "-use-order"},
-		{"-checkpoint", "x", "-portfolio"},
 		{"-resume", "/nonexistent/ck.json"},
 	} {
 		if code, _, _ := runCheck(t, args, coherentTrace); code != 2 {

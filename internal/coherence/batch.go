@@ -4,10 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
@@ -17,13 +15,12 @@ import (
 // like memverifyd's cache-miss bursts — many independent litmus-sized
 // traces, each cheap to solve, where a loop over Verifier.Solve spends
 // more time on per-call ceremony (double validation, projection maps,
-// budget and layout construction, span bookkeeping) than on the solves
-// themselves.
+// scratch and layout construction) than on the solves themselves.
 //
 // What the batch path pools or avoids, per job, relative to a looped
 // Verifier.Solve:
 //
-//   - Validate runs once per distinct *Execution, not twice per call;
+//   - Validate runs once per distinct *Execution, not once per call;
 //   - jobs over one execution are grouped, and ALL of the group's
 //     addresses are projected in a single pass over the histories into
 //     pooled backing arrays with slice back-maps — a loop re-scans the
@@ -33,23 +30,17 @@ import (
 //   - single-address executions skip Project entirely (identity
 //     projection: the instance aliases the execution's histories and
 //     translates refs to themselves);
-//   - the write-count specialist probe reuses one cleared map;
-//   - the packed memo layout and table, the budget, and every searcher
-//     buffer live in a per-worker batchScratch, reset — not
-//     reallocated — between jobs, with the memo table sized to the
-//     instance instead of the global minimum;
-//   - results are written into one preallocated slice; the only
-//     per-job allocation left is the certificate schedule of a
-//     coherent verdict (and whatever the polynomial specialists
-//     allocate internally).
+//   - the ladder's budget, the specialists' value-count map, the packed
+//     memo layout and table, and every searcher buffer live in one
+//     per-worker searchScratch for the whole batch.
 //
-// Verdict parity with the looped path is exact: the same dispatch
-// (Figure 5.3 specialists, then the memoized search) runs on the same
-// instances under the same Options budget. Each instance is solved
-// sequentially — batch throughput comes from eliminating overhead and
-// from fanning jobs across Config.Workers, not from Options.
-// ParallelSearch, which is ignored here (litmus-sized instances are
-// below any useful frontier split).
+// Verdict parity with the looped path is exact: each job climbs the
+// same escalation ladder (ladder.go) as SolveAddr, for every strategy,
+// on the same instance under the same Options budget. Each instance is
+// solved sequentially — batch throughput comes from eliminating
+// overhead and from fanning jobs across Config.Workers, not from
+// Options.ParallelSearch, which is ignored here (litmus-sized instances
+// are below any useful frontier split).
 
 // BatchJob names one single-address VMC instance of a batch: decide
 // coherence of Exec's operations at Addr.
@@ -62,7 +53,12 @@ type BatchJob struct {
 // value so a batch of N jobs costs one slice allocation, not N.
 type BatchResult struct {
 	// Result is the solver outcome; meaningful only when Err is nil.
+	// Result.Stats.Rung records the deciding ladder rung, and an
+	// undecided StrategyResilient job has Result.Decided == false.
 	Result Result
+	// Checks lists the necessary-condition outcomes when the job reached
+	// the last StrategyResilient rung.
+	Checks []string
 	// Err is the per-job error: validation failure or budget trip. One
 	// job's error never aborts its siblings.
 	Err error
@@ -74,7 +70,7 @@ type BatchResult struct {
 // Call only when Err is nil.
 func (br *BatchResult) Report(addr memory.Addr) *AddrReport {
 	r := br.Result
-	ar := &AddrReport{Addr: addr, Verdict: VerdictCoherent, Rung: RungExact, Result: &r, Stats: r.Stats}
+	ar := &AddrReport{Addr: addr, Verdict: VerdictCoherent, Rung: Rung(r.Stats.Rung), Result: &r, Stats: r.Stats, Checks: br.Checks}
 	switch {
 	case !r.Decided:
 		ar.Verdict, ar.Result = VerdictUnknown, nil
@@ -84,31 +80,29 @@ func (br *BatchResult) Report(addr memory.Addr) *AddrReport {
 	return ar
 }
 
-// batchScratch is one worker's reusable solve state.
+// set stores a ladder outcome in the pooled result slot.
+func (br *BatchResult) set(ar *AddrReport) {
+	br.Checks = ar.Checks
+	if ar.Result != nil {
+		br.Result = *ar.Result
+		return
+	}
+	br.Result = Result{Algorithm: "resilient-unknown", Stats: ar.Stats}
+}
+
+// batchScratch is one worker's reusable solve state: the ladder's
+// searchScratch plus the grouped projection of the current group.
 type batchScratch struct {
-	inst     instance
-	initVal  memory.Value
-	finalVal memory.Value
-	layout   packedLayout
-	counts   map[memory.Value]int
-	budget   solver.Budget
-	s        searcher
-	packed   packedSet
-	pos      []int
-	schedule []memory.Ref
-	candBuf  []int
-	needed   []memory.Value
-	keyBuf   []byte
+	searchScratch
+	inst instance // the current ungrouped job's projection
 
 	// Grouped-projection state: one pass over an execution's histories
 	// fills instances for every address its group requests. All slices
 	// are carved from the g* backing arrays, which grow to the largest
 	// group seen and are then reused verbatim.
 	gAddrIdx map[memory.Addr]int
-	gSlot    []int32          // dense addr -> index+1 table (0 = untracked)
+	gSlot    []int32 // dense addr -> index+1 table (0 = untracked)
 	gInsts   []instance
-	gInit    []memory.Value
-	gFinal   []memory.Value
 	gHist    []memory.History // A*P history headers
 	gBackHdr [][]memory.Ref   // A*P back-map headers
 	gOps     []memory.Op      // backing for every projected op
@@ -124,20 +118,15 @@ const batchSlotMax = 1 << 14
 
 var batchScratchPool = sync.Pool{New: func() any {
 	return &batchScratch{
-		counts:   make(map[memory.Value]int),
-		gAddrIdx: make(map[memory.Addr]int),
+		searchScratch: searchScratch{counts: make(map[memory.Value]int)},
+		gAddrIdx:      make(map[memory.Addr]int),
 	}
 }}
 
-// SolveBatch solves every job under the verifier's configured budget,
-// fanning jobs across Config.Workers pooled workers, and returns one
-// BatchResult per job in job order. The context is polled between jobs:
-// cancellation marks the remaining jobs' Err and returns.
-//
-// The pooled fast path covers StrategyAuto and StrategyExact (Exact
-// skips the specialist dispatch, as everywhere). Other strategies and
-// write-order-augmented configurations fall back to SolveAddr per job —
-// correct, just without the pooling.
+// SolveBatch solves every job under the verifier's configured strategy
+// and budget, fanning jobs across Config.Workers pooled workers, and
+// returns one BatchResult per job in job order. The context is polled
+// between jobs: cancellation marks the remaining jobs' Err and returns.
 func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
 	out := make([]BatchResult, len(jobs))
 	if len(jobs) == 0 {
@@ -159,9 +148,6 @@ func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResul
 		groups[g].jobIdx = append(groups[g].jobIdx, i)
 	}
 
-	exactOnly := v.cfg.Strategy == solver.StrategyExact
-	pooled := (v.cfg.Strategy == solver.StrategyAuto || exactOnly) && v.cfg.WriteOrders == nil
-
 	workers := v.cfg.Workers
 	if workers > len(groups) {
 		workers = len(groups)
@@ -178,13 +164,12 @@ func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResul
 			defer wg.Done()
 			bs := batchScratchPool.Get().(*batchScratch)
 			defer batchScratchPool.Put(bs)
-			met := obs.MetricsFrom(ctx)
 			for {
 				gi := int(nextGroup.Add(1)) - 1
 				if gi >= len(groups) {
 					return
 				}
-				v.solveGroup(ctx, met, bs, jobs, &groups[gi], pooled, exactOnly, out)
+				v.solveGroup(ctx, bs, jobs, &groups[gi], out)
 			}
 		}()
 	}
@@ -198,17 +183,17 @@ type batchGroup struct {
 	jobIdx []int
 }
 
-// solveGroup validates the group's execution once, then answers each of
-// its jobs, using the grouped single-pass projection when more than one
-// pooled job shares the execution.
-func (v *Verifier) solveGroup(ctx context.Context, met *obs.Metrics, bs *batchScratch, jobs []BatchJob, g *batchGroup, pooled, exactOnly bool, out []BatchResult) {
+// solveGroup validates the group's execution once, then runs the ladder
+// on each of its jobs, using the grouped single-pass projection when
+// more than one job shares the execution.
+func (v *Verifier) solveGroup(ctx context.Context, bs *batchScratch, jobs []BatchJob, g *batchGroup, out []BatchResult) {
 	if err := g.exec.Validate(); err != nil {
 		for _, i := range g.jobIdx {
 			out[i].Err = err
 		}
 		return
 	}
-	grouped := pooled && len(g.jobIdx) > 1
+	grouped := len(g.jobIdx) > 1
 	if grouped {
 		bs.groupProject(g.exec, jobs, g.jobIdx)
 	}
@@ -218,24 +203,18 @@ func (v *Verifier) solveGroup(ctx context.Context, met *obs.Metrics, bs *batchSc
 			br.Err = withAddr(e, job.Addr)
 			continue
 		}
-		switch {
-		case grouped:
-			bs.solveInst(ctx, met, &bs.gInsts[bs.gAddrIdx[job.Addr]], exactOnly, v.cfg.Options, br)
-		case pooled:
-			bs.loadInstance(job)
-			bs.solveInst(ctx, met, &bs.inst, exactOnly, v.cfg.Options, br)
-		default:
-			ar, err := v.solveAddrOpts(ctx, job.Exec, job.Addr, v.cfg.Options)
-			if err != nil {
-				br.Err = err
-				continue
-			}
-			if ar.Result != nil {
-				br.Result = *ar.Result
-			} else {
-				br.Result = Result{Algorithm: "resilient-unknown", Stats: ar.Stats}
-			}
+		inst := &bs.inst
+		if grouped {
+			inst = &bs.gInsts[bs.gAddrIdx[job.Addr]]
+		} else {
+			inst.load(job.Exec, job.Addr)
 		}
+		ar, err := v.ladder(ctx, job.Exec, inst, v.cfg.Options, &bs.searchScratch)
+		if err != nil {
+			br.Err = err
+			continue
+		}
+		br.set(&ar)
 	}
 }
 
@@ -368,11 +347,9 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 		}
 	}
 
-	// Assemble the instances. gInit/gFinal are sized before any pointer
-	// into them is taken, so the pointers stay valid for the group.
+	// Assemble the instances. gInsts is sized before any instance binds
+	// its init/final pointers, so they stay valid for the group.
 	bs.gInsts = growSlice(bs.gInsts, na)
-	bs.gInit = growSlice(bs.gInit, na)
-	bs.gFinal = growSlice(bs.gFinal, na)
 	for addr, a := range bs.gAddrIdx {
 		nops := 0
 		for s := a * np; s < (a+1)*np; s++ {
@@ -384,152 +361,6 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 			backIdx: bs.gBackHdr[a*np : (a+1)*np],
 			nops:    nops,
 		}
-		if d, ok := exec.Initial[addr]; ok {
-			bs.gInit[a] = d
-			bs.gInsts[a].init = &bs.gInit[a]
-		}
-		if d, ok := exec.Final[addr]; ok {
-			bs.gFinal[a] = d
-			bs.gInsts[a].final = &bs.gFinal[a]
-		}
-	}
-}
-
-// loadInstance points bs.inst at the job, using the identity projection
-// when the execution touches only this address (no copies, no back-map)
-// and falling back to a real projection otherwise.
-func (bs *batchScratch) loadInstance(job BatchJob) {
-	exec := job.Exec
-	identity := true
-	nops := 0
-	for _, h := range exec.Histories {
-		for _, o := range h {
-			if !o.IsMemory() || o.Addr != job.Addr {
-				identity = false
-				break
-			}
-			nops++
-		}
-		if !identity {
-			break
-		}
-	}
-	if identity {
-		bs.inst = instance{addr: job.Addr, hist: exec.Histories, nops: nops}
-		if d, ok := exec.Initial[job.Addr]; ok {
-			bs.initVal = d
-			bs.inst.init = &bs.initVal
-		}
-		if d, ok := exec.Final[job.Addr]; ok {
-			bs.finalVal = d
-			bs.inst.final = &bs.finalVal
-		}
-		return
-	}
-	bs.inst = *project(exec, job.Addr)
-}
-
-// maxWritesPerValue is instance.maxWritesPerValue with a pooled map.
-func (bs *batchScratch) maxWritesPerValue(inst *instance) int {
-	clear(bs.counts)
-	max := 0
-	for _, h := range inst.hist {
-		for _, o := range h {
-			if d, ok := o.Writes(); ok {
-				bs.counts[d]++
-				if bs.counts[d] > max {
-					max = bs.counts[d]
-				}
-			}
-		}
-	}
-	return max
-}
-
-// solveInst runs the lean auto dispatch on one prepared instance: the
-// same algorithm selection as solveAutoInstance, on pooled state.
-func (bs *batchScratch) solveInst(ctx context.Context, met *obs.Metrics, inst *instance, exactOnly bool, opts *Options, br *BatchResult) {
-	if !exactOnly {
-		if bs.maxWritesPerValue(inst) <= 1 {
-			if r, ok := readMapInstance(inst); ok {
-				br.Result = *r
-				return
-			}
-		}
-		if inst.maxOpsPerProcess() <= 1 {
-			if inst.allRMW() {
-				br.Result = *eulerInstance(inst)
-				return
-			}
-			if r, ok := singleOpInstance(inst); ok {
-				br.Result = *r
-				return
-			}
-		}
-	}
-	bs.search(ctx, met, inst, opts, br)
-}
-
-// search is searchInstance on pooled state: same exploration, same
-// budget semantics, none of the per-call construction.
-func (bs *batchScratch) search(ctx context.Context, met *obs.Metrics, inst *instance, opts *Options, br *BatchResult) {
-	start := time.Now()
-	bs.budget.Reset(ctx, opts)
-	defer bs.budget.Stop()
-	s := &bs.s
-	*s = searcher{
-		inst:     inst,
-		opts:     opts,
-		budget:   &bs.budget,
-		schedule: bs.schedule[:0],
-		candBuf:  bs.candBuf[:0],
-		needed:   bs.needed[:0],
-		keyBuf:   bs.keyBuf[:0],
-		met:      met,
-	}
-	s.obsOn = met != nil
-	if cap(bs.pos) >= len(inst.hist) {
-		s.pos = bs.pos[:len(inst.hist)]
-		clear(s.pos)
-	} else {
-		s.pos = make([]int, len(inst.hist))
-	}
-	if opts.Memoize() {
-		if opts.PackedMemo() && bs.layout.build(inst) {
-			s.layout = &bs.layout
-			s.packed = &bs.packed
-			// Size the table to the instance: litmus-sized solves touch
-			// tens of states, not the global 1024-slot minimum.
-			bs.packed.resetSized(4 * inst.nops)
-		} else {
-			s.memo = make(map[string]struct{})
-		}
-	}
-	if inst.init != nil {
-		s.cur, s.bound = *inst.init, true
-	}
-	found := s.dfs()
-	s.stats.Duration = time.Since(start)
-	if s.obsOn {
-		s.pollObs()
-	}
-	bs.pos = s.pos
-	bs.schedule = s.schedule[:0]
-	bs.candBuf = s.candBuf[:0]
-	bs.needed = s.needed[:0]
-	bs.keyBuf = s.keyBuf[:0]
-	if s.abort != nil {
-		s.abort.Stats = s.stats
-		br.Err = withAddr(s.abort, inst.addr)
-		return
-	}
-	br.Result = Result{
-		Coherent:  found,
-		Decided:   true,
-		Algorithm: "general-search",
-		Stats:     s.stats,
-	}
-	if found {
-		br.Result.Schedule = inst.translate(s.schedule)
+		bs.gInsts[a].bind(exec, addr)
 	}
 }

@@ -89,29 +89,6 @@ func TestSolveBatchExactStrategy(t *testing.T) {
 	}
 }
 
-// TestSolveBatchFallbackStrategies: the non-pooled strategies fall back
-// to per-job SolveAddr and still return correct verdicts.
-func TestSolveBatchFallbackStrategies(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	jobs := batchJobs(rng, 60)
-	for _, strat := range []solver.Strategy{solver.StrategyPortfolio, solver.StrategyResilient, solver.StrategyFast} {
-		v := NewVerifier(solver.WithStrategy(strat))
-		auto := NewVerifier()
-		for i, br := range v.SolveBatch(context.Background(), jobs) {
-			if br.Err != nil {
-				t.Fatalf("%v job %d: %v", strat, i, br.Err)
-			}
-			want, err := auto.Solve(context.Background(), jobs[i].Exec, jobs[i].Addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if br.Result.Decided && br.Result.Coherent != want.Coherent {
-				t.Fatalf("%v job %d: verdict mismatch: %v vs %v", strat, i, br.Result.Coherent, want.Coherent)
-			}
-		}
-	}
-}
-
 // TestSolveBatchValidationError: one invalid execution fails its own
 // jobs only; sibling jobs over valid executions still decide.
 func TestSolveBatchValidationError(t *testing.T) {

@@ -3,42 +3,47 @@
 // given a set of process histories of reads and writes to one address, is
 // there a coherent schedule?
 //
-// VMC is NP-Complete in general (Theorem 4.2), so the package provides
-// one unified facade — Verifier, constructed with the functional
-// options of internal/solver — over
+// VMC is NP-Complete in general (Theorem 4.2), so the package decides
+// each address with one escalation ladder (ladder.go), mirroring the
+// paper's complexity summary (Figure 5.3): polynomial rungs first, the
+// exponential search only where they cannot decide.
 //
-//   - a complete exponential search (solver.StrategyExact) that
-//     realizes the paper's O(n^k) bound for k process histories via
-//     memoization and an eager read-scheduling rule;
-//   - the polynomial algorithms for every tractable row of the paper's
-//     complexity-summary table (Figure 5.3): write-order supplied (§5.2),
-//     read-map known (at most one write per value), one operation per
-//     process, and read-modify-write chains — dispatched automatically
-//     by solver.StrategyAuto;
-//   - per-execution verification (Verifier.Verify), which checks each
-//     address independently, per the paper's definition of a coherent
-//     multiprocessor execution, optionally fanned out across workers
-//     (solver.WithWorkers) in largest-projection-first order;
-//   - a portfolio racer (solver.StrategyPortfolio) that stages the
-//     applicable algorithms on a shared bounded pool and keeps the
-//     first finisher;
-//   - a graceful-degradation ladder (solver.StrategyResilient) ending
-//     in an explicit Unknown verdict instead of an error;
-//   - a polynomial constraint-propagation frontline
-//     (solver.StrategyFast, fastpath.go) that decides structured
-//     instances of any size in near-linear time — sound in both
-//     directions, escalating to the exact solvers only on an explicit
-//     INCONCLUSIVE — and also opens the portfolio and resilient
-//     strategies (disable with solver.WithoutFastPath).
+//  1. the fast path (fastpath.go): polynomial constraint propagation
+//     that decides structured instances of any size in near-linear
+//     time — sound in both directions, escalating only on an explicit
+//     INCONCLUSIVE;
+//  2. the Figure 5.3 specialists: the polynomial algorithms for the
+//     read-map (at most one write per value), one-operation-per-process
+//     and read-modify-write-chain rows;
+//  3. the exact search, which realizes the paper's O(n^k) bound for k
+//     process histories via memoization and an eager read-scheduling
+//     rule, optionally split across workers (Options.ParallelSearch);
+//  4. the degrade rungs, reached only when the budget stops the search:
+//     a supplied §5.2 write order, exhaustive small write-order
+//     enumeration, and sound necessary conditions, ending in an
+//     explicit Unknown verdict instead of an error.
 //
-// The pre-facade entry points (Solve, SolveAuto, SolvePortfolio,
-// SolveResilient, VerifyExecution and friends) remain as deprecated
-// one-line wrappers in deprecated.go.
+// The strategy names the rungs that run (solver.StrategyExact: 3;
+// StrategyAuto, the default: 2–3; StrategyFast: 1–3;
+// StrategyResilient: 1–4). Verifier is the facade, constructed with the
+// functional options of internal/solver; Verifier.Verify checks each
+// address independently, per the paper's definition of a coherent
+// multiprocessor execution, optionally fanned out across workers
+// (solver.WithWorkers) in largest-projection-first order, and
+// Verifier.SolveBatch runs the same ladder over many small jobs with
+// pooled scratch.
+//
+// The pre-facade entry points (Solve, SolveAuto, SolveResilient,
+// VerifyExecution and friends) remain as deprecated one-line wrappers in
+// deprecated.go.
 //
 // Every entry point takes a context.Context and honors the unified
-// resource budget of internal/solver: cancellation, the per-solve
-// wall-clock Options.Timeout, and the Options.MaxStates bound all abort
-// the solve with a *solver.ErrBudgetExceeded carrying the partial Stats.
+// resource budget of internal/solver: cancellation, the per-address
+// wall-clock Options.Timeout (one deadline shared by every rung), and
+// the Options.MaxStates bound (charged by the exact search only) all
+// abort the solve with a *solver.ErrBudgetExceeded carrying the partial
+// Stats — except under StrategyResilient, whose degrade rungs turn a
+// deadline or state-bound trip into an answer.
 //
 // All solvers return a certificate schedule on success; certificates are
 // validated by memory.CheckCoherent in the package tests.
@@ -111,45 +116,78 @@ type instance struct {
 	init    *memory.Value
 	final   *memory.Value
 	nops    int
+	// initVal and finalVal hold the values init and final point to, so
+	// an instance carries its own bounds without separate allocations
+	// (an instance is therefore never copied once bound).
+	initVal, finalVal memory.Value
 }
 
 // project builds the single-address instance for addr.
 func project(exec *memory.Execution, addr memory.Addr) *instance {
-	proj, back := exec.Project(addr)
-	inst := &instance{
-		addr: addr,
-		hist: proj.Histories,
-		back: back,
-		nops: proj.NumOps(),
-	}
-	if d, ok := proj.Initial[addr]; ok {
-		v := d
-		inst.init = &v
-	}
-	if d, ok := proj.Final[addr]; ok {
-		v := d
-		inst.final = &v
-	}
+	inst := new(instance)
+	inst.load(exec, addr)
 	return inst
 }
 
-// translate maps a schedule over projection refs back to original refs.
+// load makes in the single-address instance of exec at addr. An
+// execution that touches only addr is its own projection: the instance
+// then aliases the execution's histories (no copies, no back-map) and
+// its refs translate to themselves.
+func (in *instance) load(exec *memory.Execution, addr memory.Addr) {
+	*in = instance{addr: addr}
+	if n, ok := soleAddress(exec, addr); ok {
+		in.hist, in.nops = exec.Histories, n
+	} else {
+		proj, back := exec.Project(addr)
+		in.hist, in.back, in.nops = proj.Histories, back, proj.NumOps()
+	}
+	in.bind(exec, addr)
+}
+
+// bind points init and final at the execution's declared values for
+// addr, if any.
+func (in *instance) bind(exec *memory.Execution, addr memory.Addr) {
+	if d, ok := exec.Initial[addr]; ok {
+		in.initVal, in.init = d, &in.initVal
+	}
+	if d, ok := exec.Final[addr]; ok {
+		in.finalVal, in.final = d, &in.finalVal
+	}
+}
+
+// soleAddress reports whether every operation of exec is a memory
+// operation at addr, and counts them.
+func soleAddress(exec *memory.Execution, addr memory.Addr) (int, bool) {
+	n := 0
+	for _, h := range exec.Histories {
+		for _, o := range h {
+			if !o.IsMemory() || o.Addr != addr {
+				return 0, false
+			}
+			n++
+		}
+	}
+	return n, true
+}
+
+// origRef maps a projection ref back to the original execution's ref.
 // A nil back-map means the instance IS the original execution (the
-// batch driver's identity projection), so refs translate to themselves.
+// batch driver's identity projection), so refs map to themselves.
+func (in *instance) origRef(r memory.Ref) memory.Ref {
+	switch {
+	case in.backIdx != nil:
+		return in.backIdx[r.Proc][r.Index]
+	case in.back != nil:
+		return in.back[r]
+	}
+	return r
+}
+
+// translate maps a schedule over projection refs back to original refs.
 func (in *instance) translate(s []memory.Ref) memory.Schedule {
 	out := make(memory.Schedule, len(s))
-	if in.backIdx != nil {
-		for i, r := range s {
-			out[i] = in.backIdx[r.Proc][r.Index]
-		}
-		return out
-	}
-	if in.back == nil {
-		copy(out, s)
-		return out
-	}
 	for i, r := range s {
-		out[i] = in.back[r]
+		out[i] = in.origRef(r)
 	}
 	return out
 }
@@ -190,9 +228,13 @@ func (in *instance) maxOpsPerProcess() int {
 }
 
 // maxWritesPerValue returns the largest number of writes of any single
-// value.
-func (in *instance) maxWritesPerValue() int {
-	counts := make(map[memory.Value]int)
+// value. counts is a scratch map, cleared first (nil allocates one).
+func (in *instance) maxWritesPerValue(counts map[memory.Value]int) int {
+	if counts == nil {
+		counts = make(map[memory.Value]int)
+	} else {
+		clear(counts)
+	}
 	max := 0
 	for _, h := range in.hist {
 		for _, o := range h {
@@ -249,82 +291,4 @@ func withAddr(e *solver.ErrBudgetExceeded, addr memory.Addr) *solver.ErrBudgetEx
 		e.Addr, e.HasAddr = addr, true
 	}
 	return e
-}
-
-// solveExact decides VMC for the operations of exec at address addr
-// using the general memoized search. It is complete: absent a budget it
-// always returns a decided result (at worst in exponential time — VMC
-// is NP-Complete). With k histories and n operations the memoized
-// search visits O(n^k · |D|) states, matching the constant-process
-// polynomial bound of Figure 5.3. A tripped budget (states, deadline,
-// or cancellation) yields a nil Result and a *solver.ErrBudgetExceeded.
-func solveExact(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	sp, ctx := beginSolve(ctx, "solve", addr)
-	inst := project(exec, addr)
-	r, e := searchInstance(ctx, inst, opts)
-	if e != nil {
-		err := withAddr(e, addr)
-		endSolve(ctx, sp, nil, err)
-		return nil, err
-	}
-	endSolve(ctx, sp, r, nil)
-	return r, nil
-}
-
-// solveAutoAddr decides VMC for one address, dispatching to the fastest
-// algorithm whose preconditions hold (Figure 5.3 rows):
-//
-//  1. at most one write per value  -> read-map algorithm (linear);
-//  2. one operation per process    -> grouping / Eulerian-path algorithm;
-//  3. otherwise                    -> general memoized search.
-//
-// The write-order algorithms require extra input and are exposed
-// separately (SolveWithWriteOrder); solver.StrategyPortfolio instead
-// races the applicable algorithms concurrently.
-func solveAutoAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	sp, ctx := beginSolve(ctx, "solve-auto", addr)
-	inst := project(exec, addr)
-	r, err := solveAutoInstance(ctx, inst, opts)
-	if err != nil {
-		if be, ok := solver.AsBudgetError(err); ok {
-			err = withAddr(be, addr)
-		}
-		endSolve(ctx, sp, nil, err)
-		return nil, err
-	}
-	endSolve(ctx, sp, r, nil)
-	return r, nil
-}
-
-// solveAutoInstance is SolveAuto on a projected instance.
-func solveAutoInstance(ctx context.Context, inst *instance, opts *Options) (*Result, error) {
-	if e := solver.Interrupted(ctx); e != nil {
-		return nil, e
-	}
-	if inst.maxWritesPerValue() <= 1 {
-		if r, ok := readMapInstance(inst); ok {
-			return r, nil
-		}
-		// Ambiguous corner (initial value collides with a written value):
-		// fall through to the general search.
-	}
-	if inst.maxOpsPerProcess() <= 1 {
-		if inst.allRMW() {
-			return eulerInstance(inst), nil
-		}
-		if r, ok := singleOpInstance(inst); ok {
-			return r, nil
-		}
-	}
-	r, e := searchInstance(ctx, inst, opts)
-	if e != nil {
-		return nil, e
-	}
-	return r, nil
 }

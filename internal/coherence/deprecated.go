@@ -29,15 +29,6 @@ func SolveAuto(ctx context.Context, exec *memory.Execution, addr memory.Addr, op
 	return NewVerifier(solver.WithOptions(opts)).Solve(ctx, exec, addr)
 }
 
-// SolvePortfolio decides VMC for one address with the staged portfolio
-// racer.
-//
-// Deprecated: use NewVerifier(solver.WithStrategy(solver.StrategyPortfolio),
-// solver.WithOptions(opts)).Solve(ctx, exec, addr).
-func SolvePortfolio(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
-	return NewVerifier(solver.WithStrategy(solver.StrategyPortfolio), solver.WithOptions(opts)).Solve(ctx, exec, addr)
-}
-
 // SolveResilient decides VMC for one address with the graceful-
 // degradation ladder; writeOrder optionally supplies a §5.2 hint.
 //
@@ -74,16 +65,6 @@ func VerifyExecutionParallel(ctx context.Context, exec *memory.Execution, opts *
 		workers = runtime.NumCPU()
 	}
 	rep, err := NewVerifier(solver.WithWorkers(workers), solver.WithOptions(opts)).Verify(ctx, exec)
-	return reportResults(rep), err
-}
-
-// VerifyExecutionPortfolio is VerifyExecution with each per-address
-// check dispatched through the portfolio racer.
-//
-// Deprecated: use NewVerifier(solver.WithStrategy(solver.StrategyPortfolio),
-// solver.WithOptions(opts)).Verify(ctx, exec).
-func VerifyExecutionPortfolio(ctx context.Context, exec *memory.Execution, opts *Options) (map[memory.Addr]*Result, error) {
-	rep, err := NewVerifier(solver.WithStrategy(solver.StrategyPortfolio), solver.WithOptions(opts)).Verify(ctx, exec)
 	return reportResults(rep), err
 }
 

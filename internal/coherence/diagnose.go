@@ -50,7 +50,7 @@ func Diagnose(ctx context.Context, exec *memory.Execution, addr memory.Addr, opt
 	rows := make([][]row, len(inst.hist))
 	for p, h := range inst.hist {
 		for i, o := range h {
-			rows[p] = append(rows[p], row{op: o, ref: inst.back[memory.Ref{Proc: p, Index: i}]})
+			rows[p] = append(rows[p], row{op: o, ref: inst.origRef(memory.Ref{Proc: p, Index: i})})
 		}
 	}
 	final := inst.final
@@ -70,8 +70,12 @@ func Diagnose(ctx context.Context, exec *memory.Execution, addr memory.Addr, opt
 		}
 		return e
 	}
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
 	incoherent := func() (bool, error) {
-		res, e := searchInstance(ctx, project(build(), addr), opts)
+		sc.budget.Reset(ctx, opts)
+		defer sc.budget.Stop()
+		res, e := searchInstance(&sc.budget, project(build(), addr), opts, sc)
 		if e != nil {
 			return false, fmt.Errorf("coherence: diagnosis aborted: %w", withAddr(e, addr))
 		}

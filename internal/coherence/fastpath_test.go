@@ -15,7 +15,7 @@ import (
 // error (the tests here never set budgets).
 func fastOn(t *testing.T, exec *memory.Execution) *fastOutcome {
 	t.Helper()
-	out, e := fastPathExec(context.Background(), exec, 0, nil)
+	out, e := fastDecide(context.Background(), exec, project(exec, 0))
 	if e != nil {
 		t.Fatalf("fast path budget error without a budget: %v", e)
 	}
@@ -63,7 +63,6 @@ func TestFastPathOracleSmall(t *testing.T) {
 // acceptance criterion.
 func TestFastPathOracleWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	exact := solver.New(solver.WithoutFastPath())
 	decided := 0
 	for i := 0; i < 150; i++ {
 		exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
@@ -76,7 +75,7 @@ func TestFastPathOracleWorkload(t *testing.T) {
 				exec = mut
 			}
 		}
-		want, err := SolveAuto(context.Background(), exec, 0, exact)
+		want, err := SolveAuto(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatalf("instance %d: oracle: %v", i, err)
 		}
@@ -298,16 +297,18 @@ func TestResilientFastRung(t *testing.T) {
 }
 
 // TestStrategyFastFacade: solver.StrategyFast through the Verifier
-// facade reports the fast rung when the frontline decides, falls back
-// to the auto dispatch when it is inconclusive, and degrades to plain
-// auto under the WithoutFastPath ablation.
+// facade reports the fast rung when the frontline decides, escalates to
+// the specialists and the search when it is inconclusive — counting the
+// fast rung's work in the stats exactly as StrategyResilient's climb
+// does — and StrategyAuto is the same ladder without the fast rung.
 func TestStrategyFastFacade(t *testing.T) {
+	ctx := context.Background()
 	easy := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
 	v := NewVerifier(solver.WithStrategy(solver.StrategyFast))
-	ar, err := v.SolveAddr(context.Background(), easy, 0)
+	ar, err := v.SolveAddr(ctx, easy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,14 +319,14 @@ func TestStrategyFastFacade(t *testing.T) {
 		t.Errorf("Stats.Rung = %d, want %d", ar.Stats.Rung, int(RungFast))
 	}
 
-	// Inconclusive instance: the strategy escalates to auto and still
-	// decides — the answer never gets worse, only slower.
+	// Inconclusive instance: the strategy escalates and still decides —
+	// the answer never gets worse, only slower.
 	ambiguous := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.W(0, 2)},
 		memory.History{memory.R(0, 1), memory.R(0, 2), memory.R(0, 1)},
 	).SetInitial(0, 0)
-	r, err := v.Solve(context.Background(), ambiguous, 0)
+	r, err := v.Solve(ctx, ambiguous, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,45 +334,27 @@ func TestStrategyFastFacade(t *testing.T) {
 		t.Errorf("escalation: coherent=%v algorithm=%q, want incoherent from a complete solver", r.Coherent, r.Algorithm)
 	}
 
-	// Ablation: the same strategy without the frontline is plain auto.
-	ablated := NewVerifier(
-		solver.WithStrategy(solver.StrategyFast),
-		solver.WithBudget(solver.WithoutFastPath()),
-	)
-	ar, err = ablated.SolveAddr(context.Background(), easy, 0)
+	// Every rung's work shows: the escalated fast solve and the
+	// resilient solve climb the same rungs, so they report the same work.
+	fast, err := v.SolveAddr(ctx, ambiguous, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ar.Result.Algorithm == "fastpath" {
-		t.Error("WithoutFastPath still ran the frontline")
-	}
-}
-
-// TestPortfolioFastPathOpens: on a large structured instance the
-// portfolio's opening stage decides without racing, and the ablation
-// knob restores the staged behavior.
-func TestPortfolioFastPathOpens(t *testing.T) {
-	exec := workload.GenerateRelay(workload.RelayConfig{Processors: 3, Rounds: 16, Decoys: 1})
-	r, err := SolvePortfolio(context.Background(), exec, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyResilient)).SolveAddr(ctx, ambiguous, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Algorithm != "fastpath" {
-		t.Errorf("algorithm = %q, want fastpath to open the portfolio", r.Algorithm)
-	}
-	if err := memory.CheckCoherent(exec, 0, r.Schedule); err != nil {
-		t.Errorf("invalid certificate: %v", err)
+	if fast.Stats.States != res.Stats.States {
+		t.Errorf("escalated fast solve reports %d states, resilient reports %d", fast.Stats.States, res.Stats.States)
 	}
 
-	r, err = SolvePortfolio(context.Background(), exec, 0, solver.New(solver.WithoutFastPath()))
+	// Auto is the fast strategy without the fast rung.
+	ar, err = NewVerifier().SolveAddr(ctx, easy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Algorithm == "fastpath" {
-		t.Error("WithoutFastPath still ran the opening stage")
-	}
-	if !r.Coherent {
-		t.Error("ablated portfolio verdict changed")
+	if ar.Result.Algorithm == "fastpath" || ar.Rung != RungExact {
+		t.Errorf("auto ran the fast path: rung=%s algorithm=%q", ar.Rung, ar.Result.Algorithm)
 	}
 }
 
@@ -380,11 +363,10 @@ func TestPortfolioFastPathOpens(t *testing.T) {
 // phantom variant is rejected, and both verdicts match the exact solver
 // — the small-scale version of the BENCH_PR9 crossover evidence.
 func TestFastPathRelayFamily(t *testing.T) {
-	exact := solver.New(solver.WithoutFastPath())
 	for _, phantom := range []bool{false, true} {
 		exec := workload.GenerateRelay(workload.RelayConfig{Processors: 4, Rounds: 12, Decoys: 4, Phantom: phantom})
 		out := fastOn(t, exec)
-		want, err := SolveAuto(context.Background(), exec, 0, exact)
+		want, err := SolveAuto(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,9 +26,8 @@ const packedLayoutBits = 63
 // one position field per history (wide enough for 0..len(hist)), then
 // the current-value index, then one bound flag bit. The value index is
 // a sorted slice searched with valIndex, not a map: layouts are built
-// once per solve, and for the small instances the portfolio dispatches
-// directly a map's construction cost is visible next to the search
-// itself.
+// once per solve, and for litmus-sized instances a map's construction
+// cost is visible next to the search itself.
 type packedLayout struct {
 	posShift []uint8
 	posBits  []uint8
@@ -55,19 +54,8 @@ func (l *packedLayout) valIndex(d memory.Value) (uint64, bool) {
 	return 0, false
 }
 
-// layoutFor builds the packed layout for inst, or nil when the instance
-// needs more than packedLayoutBits bits (the caller then keeps the
-// string-key memo).
-func layoutFor(inst *instance) *packedLayout {
-	l := &packedLayout{}
-	if !l.build(inst) {
-		return nil
-	}
-	return l
-}
-
-// build (re)computes the layout for inst in place, reusing l's slices —
-// the allocation-free form used by the pooled batch driver. It reports
+// build (re)computes the layout for inst in place, reusing l's slices,
+// so a pooled searchScratch rebuilds it without allocating. It reports
 // false when the instance overflows packedLayoutBits (the caller then
 // keeps the string-key memo); l is unusable in that case.
 func (l *packedLayout) build(inst *instance) bool {

@@ -10,6 +10,16 @@ import (
 	"memverify/internal/solver"
 )
 
+// layoutFor builds the packed layout for inst, or nil when the instance
+// needs more than packedLayoutBits bits.
+func layoutFor(inst *instance) *packedLayout {
+	l := &packedLayout{}
+	if !l.build(inst) {
+		return nil
+	}
+	return l
+}
+
 // TestPackedLayoutRoundTrip: for random instances that fit the packed
 // layout, pack -> string-key decode must be byte-identical to the
 // searcher's own varint key, and string-key parse must invert pack.

@@ -48,8 +48,7 @@ import (
 // Panic isolation: each worker recovers its own panics into a
 // *solver.ErrWorkerPanic; the coordinator re-raises the first one after
 // the team drains, so a parallel search panics exactly where the
-// sequential one would, and the portfolio/race guards above it keep
-// their existing behavior.
+// sequential one would.
 //
 // Checkpointing is sequential-only by design: a snapshot of a
 // mid-flight multi-worker memo is not resumable state (claims are not
@@ -473,11 +472,11 @@ var psearchMemoPool = sync.Pool{New: func() any { return new(cpackedSet) }}
 // searchInstanceParallel is the parallel counterpart of searchInstance:
 // same contract, with the search fanned out across `workers` workers.
 // Callers reach it through Options.ParallelSearch; searchInstance
-// handles the gating and fallback.
+// handles the gating and fallback. ctx is the ladder budget's context,
+// so it already carries the address's deadline.
 func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, layout *packedLayout, workers int) (*Result, *solver.ErrBudgetExceeded) {
 	start := time.Now()
-	sb := solver.StartShared(ctx, opts)
-	defer sb.Stop()
+	sb := solver.StartShared(ctx, opts.Limit())
 	wctx, cancel := context.WithCancel(sb.Context())
 	defer cancel()
 
@@ -559,8 +558,7 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 	ps.outstanding = len(tasks)
 
 	// A dedicated pool sized to the team: every worker gets a slot
-	// immediately (no interference with the shared portfolio pool), and
-	// the pool's guard/tracing brackets each worker.
+	// immediately, and the pool's guard/tracing brackets each worker.
 	pool := solver.NewPool(workers)
 	workerStats := make([]solver.Stats, workers)
 	var wg sync.WaitGroup

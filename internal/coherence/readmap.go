@@ -37,7 +37,7 @@ func SolveReadMap(ctx context.Context, exec *memory.Execution, addr memory.Addr)
 	defer func() { endSolve(ctx, sp, r, err) }()
 	start := time.Now()
 	inst := project(exec, addr)
-	if max := inst.maxWritesPerValue(); max > 1 {
+	if max := inst.maxWritesPerValue(nil); max > 1 {
 		return nil, fmt.Errorf("coherence: some value is written %d times; the read-map algorithm requires at most one write per value", max)
 	}
 	r, ok := readMapInstance(inst)

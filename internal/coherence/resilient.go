@@ -3,18 +3,16 @@ package coherence
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
-// Rung indexes the graceful-degradation ladder of SolveResilient. The
-// ladder mirrors Figure 5.3 of the paper: when the general (NP-hard)
-// problem is out of reach, step down to the restricted variants the
-// paper proves tractable, and finally to sound necessary conditions
-// that can still refute.
+// Rung names the escalation-ladder rung that decided an address (see
+// ladder.go). Past the exact search the ladder mirrors Figure 5.3 of
+// the paper: when the general (NP-hard) problem is out of reach, step
+// down to the restricted variants the paper proves tractable, and
+// finally to sound necessary conditions that can still refute.
 type Rung int
 
 // RungFast is the rung above the exact search: the polynomial
@@ -25,8 +23,8 @@ type Rung int
 const RungFast Rung = -1
 
 const (
-	// RungExact is the normal case: the exact search (SolveAuto)
-	// decided within budget.
+	// RungExact is the normal case: a Figure 5.3 specialist or the
+	// exact search decided within budget.
 	RungExact Rung = iota
 	// RungWriteOrder is the §5.2 write-order-augmented check, used when
 	// the caller supplied an observed write order. It is trusted only
@@ -34,11 +32,10 @@ const (
 	// supplied order proves coherence of the instance, but failure to
 	// extend a hint does not refute it.
 	RungWriteOrder
-	// RungSpecialist covers the polynomial Figure 5.3 rows applied
-	// outside SolveAuto's dispatch: exhaustive write-order enumeration
-	// when the instance has few writes (complete: every coherent
-	// schedule induces a write order, so if no order extends, none
-	// exists).
+	// RungSpecialist is exhaustive write-order enumeration through the
+	// §5.2 placement when the instance has few writes (complete: every
+	// coherent schedule induces a write order, so if no order extends,
+	// none exists).
 	RungSpecialist
 	// RungNecessary is the last rung: sound necessary conditions that
 	// can refute (Incoherent) but never confirm; when they all pass the
@@ -63,7 +60,7 @@ func (r Rung) String() string {
 	return fmt.Sprintf("Rung(%d)", int(r))
 }
 
-// ResilientVerdict is the three-valued outcome of SolveResilient.
+// ResilientVerdict is the three-valued outcome of a ladder solve.
 type ResilientVerdict int
 
 const (
@@ -71,9 +68,9 @@ const (
 	VerdictCoherent ResilientVerdict = iota
 	// VerdictIncoherent: no coherent schedule exists.
 	VerdictIncoherent
-	// VerdictUnknown: no rung could decide — the fast-path frontline
-	// was inconclusive, the exact search ran out of budget, and every
-	// fallback was inapplicable or silent. The instance may or may not
+	// VerdictUnknown: no rung could decide — the fast path was
+	// inconclusive, the exact search ran out of budget, and every
+	// degrade rung was inapplicable or silent. The instance may or may not
 	// be coherent; Checks carries the necessary-condition evidence.
 	VerdictUnknown
 )
@@ -91,7 +88,8 @@ func (v ResilientVerdict) String() string {
 	return fmt.Sprintf("ResilientVerdict(%d)", int(v))
 }
 
-// ResilientResult is the outcome of a degradation-ladder solve.
+// ResilientResult is the legacy shape of a StrategyResilient solve
+// (see AddrReport.Resilient).
 type ResilientResult struct {
 	// Verdict is the three-valued answer.
 	Verdict ResilientVerdict
@@ -102,7 +100,7 @@ type ResilientResult struct {
 	// nil when the verdict is Unknown.
 	Result *Result
 	// Stats aggregates the work of every rung tried, including the
-	// partial stats of the exhausted exact search; Stats.Rung records
+	// partial stats of an exhausted exact search; Stats.Rung records
 	// the final rung.
 	Stats Stats
 	// Checks lists the necessary-condition outcomes when the ladder
@@ -116,148 +114,6 @@ type ResilientResult struct {
 // interleavings of the per-process write sequences, at most w! (40320
 // for w = 8), each checked by the polynomial §5.2 placement.
 const maxEnumWrites = 8
-
-// solveResilientAddr decides VMC for one address with graceful
-// degradation: it runs the polynomial fast-path frontline first (unless
-// solver.WithoutFastPath disabled it), then the exact search, and — if
-// the budget is exhausted (states or deadline; cancellation always
-// propagates as an error, because the caller asked to stop) — steps
-// down the ladder:
-//
-//	RungFast: the constraint-propagation frontline decided outright
-//	    (sound in both directions; inconclusive falls through).
-//	RungWriteOrder: if writeOrder (an observed §5.2 write order, may be
-//	    nil) is supplied and a coherent schedule extends it → Coherent.
-//	RungSpecialist: if the instance has ≤ maxEnumWrites writes,
-//	    enumerate all write orders; this is complete → Coherent or
-//	    Incoherent.
-//	RungNecessary: sound necessary conditions; a violation → Incoherent,
-//	    otherwise → Unknown (never an error: Unknown is an answer).
-//
-// The final rung and aggregated stats are recorded in the returned
-// ResilientResult (and in Stats.Rung for report plumbing).
-func solveResilientAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr, writeOrder []memory.Ref, opts *Options) (*ResilientResult, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	tr := obs.TracerFrom(ctx)
-	sp, ctx := beginSolve(ctx, "solve-resilient", addr)
-	start := time.Now()
-
-	wrap := func(rr *ResilientResult) *ResilientResult {
-		rr.Stats.Duration = time.Since(start)
-		rr.Stats.Rung = int(rr.Rung)
-		if rr.Result != nil {
-			rr.Result.Stats.Rung = int(rr.Rung)
-		}
-		obs.MetricsFrom(ctx).SolveEnd()
-		sp.End(fmt.Sprintf("%s (rung=%s)", rr.Verdict, rr.Rung), int64(rr.Stats.States))
-		return rr
-	}
-	fail := func(err error) error {
-		obs.MetricsFrom(ctx).SolveEnd()
-		sp.End("error: "+err.Error(), 0)
-		return err
-	}
-
-	// Rung -1: the polynomial frontline. A decided outcome short-circuits
-	// the whole ladder; inconclusive (or a frontline deadline — the
-	// weaker rungs below may still answer) escalates to the exact search.
-	var pre Stats // frontline work carried into later rungs
-	if opts.FastPath() {
-		out, fe := fastPathExec(ctx, exec, addr, opts)
-		switch {
-		case fe != nil && fe.Reason == solver.Canceled:
-			return nil, fail(fe) // the caller wants out; do not keep working
-		case fe != nil:
-			pre = fe.Stats
-			tr.Degrade(sp, RungExact.String(), "fast path exhausted its deadline; escalating to the exact search")
-		case out.verdict == fastInconclusive:
-			pre = out.stats
-			tr.Degrade(sp, RungExact.String(), "fast path inconclusive ("+out.detail+"); escalating to the exact search")
-		default:
-			rr := &ResilientResult{Rung: RungFast, Result: out.result, Stats: out.stats}
-			if !out.result.Coherent {
-				rr.Verdict = VerdictIncoherent
-			}
-			return wrap(rr), nil
-		}
-	}
-
-	// Rung 0: the exact search.
-	r, err := solveAutoAddr(ctx, exec, addr, opts)
-	if err == nil {
-		agg := pre
-		agg.Merge(r.Stats)
-		rr := &ResilientResult{Rung: RungExact, Result: r, Stats: agg}
-		if !r.Coherent {
-			rr.Verdict = VerdictIncoherent
-		}
-		return wrap(rr), nil
-	}
-	be, ok := solver.AsBudgetError(err)
-	if !ok {
-		return nil, fail(err) // malformed input etc.: not a degradation case
-	}
-	if be.Reason == solver.Canceled {
-		return nil, fail(err) // the caller wants out; do not keep working
-	}
-	agg := pre
-	agg.Merge(be.Stats) // partial work of the exhausted search
-
-	inst := project(exec, addr)
-
-	// Rung 1: caller-supplied write order (positive direction only — the
-	// order is a hint; failing to extend it does not refute).
-	if len(writeOrder) > 0 {
-		tr.Degrade(sp, RungWriteOrder.String(),
-			fmt.Sprintf("exact search exhausted (%s); trying supplied write order", be.Reason))
-		if order, oerr := inst.toProjectionRefs(writeOrder, addr); oerr == nil {
-			if wr, werr := writeOrderInstance(inst, order); werr == nil {
-				agg.Merge(wr.Stats)
-				if wr.Coherent {
-					wr.Stats = agg
-					return wrap(&ResilientResult{Verdict: VerdictCoherent, Rung: RungWriteOrder, Result: wr, Stats: agg}), nil
-				}
-			}
-		}
-	}
-
-	// Rung 2: exhaustive §5.2 enumeration when the write count is small.
-	if n := countWriters(inst); n > 0 && n <= maxEnumWrites {
-		tr.Degrade(sp, RungSpecialist.String(),
-			fmt.Sprintf("enumerating write orders (%d writes)", n))
-		wr, e := enumerateWriteOrders(ctx, inst, &agg)
-		if e != nil {
-			return nil, fail(withAddr(e, addr))
-		}
-		wr.Stats = agg
-		rr := &ResilientResult{Rung: RungSpecialist, Result: wr, Stats: agg}
-		if !wr.Coherent {
-			rr.Verdict = VerdictIncoherent
-		}
-		return wrap(rr), nil
-	}
-
-	// Rung 3: sound necessary conditions. Unknown is an answer, not an
-	// error — the budget failure is folded into the verdict.
-	tr.Degrade(sp, RungNecessary.String(), "checking necessary conditions")
-	checks, violated := necessaryConditions(inst)
-	agg.States += inst.nops
-	rr := &ResilientResult{Rung: RungNecessary, Stats: agg, Checks: checks}
-	if violated != "" {
-		rr.Verdict = VerdictIncoherent
-		rr.Result = &Result{
-			Coherent:  false,
-			Decided:   true,
-			Algorithm: "necessary-conditions",
-			Stats:     agg,
-		}
-	} else {
-		rr.Verdict = VerdictUnknown
-	}
-	return wrap(rr), nil
-}
 
 // countWriters counts writing operations in the instance.
 func countWriters(inst *instance) int {

@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"context"
 	"encoding/binary"
 	"sync"
 	"time"
@@ -77,21 +76,31 @@ type searcher struct {
 	keyBuf []byte // fallback string-key scratch; unused on the packed path
 }
 
-// searchScratch carries the searcher's reusable buffers across
-// searchInstance calls. Pooling them means a worker draining many
-// per-address solves (VerifyExecutionParallel, the portfolio racers)
-// re-uses one warm set of buffers instead of re-growing them per
-// address.
+// searchScratch is one worker's reusable per-address solve state: the
+// ladder's budget, the specialists' value-count map, and every searcher
+// buffer, reset — not reallocated — between addresses. A single solve
+// takes one from scratchPool; the batch driver keeps one per worker for
+// the whole batch.
 type searchScratch struct {
+	budget   solver.Budget
+	counts   map[memory.Value]int
+	s        searcher
+	layout   packedLayout
+	packed   packedSet
 	pos      []int
 	schedule []memory.Ref
 	candBuf  []int
 	needed   []memory.Value
 	keyBuf   []byte
-	packed   packedSet
+	// res is the sequential search's result slot: searchInstance returns
+	// a pointer to it, valid until the scratch's next search, so a
+	// batch of searches allocates no Result per job.
+	res Result
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	return &searchScratch{counts: make(map[memory.Value]int)}
+}}
 
 // obsFlush remembers the counter values at the last metrics flush, so
 // each flush adds only the delta since the previous one.
@@ -123,10 +132,13 @@ func (s *searcher) pollObs() {
 	}
 }
 
-// searchInstance runs the general search on a projected instance. A
-// tripped budget (state bound, deadline, or cancellation) returns a nil
-// Result and the budget error carrying the partial stats.
-func searchInstance(ctx context.Context, inst *instance, opts *Options) (*Result, *solver.ErrBudgetExceeded) {
+// searchInstance runs the exact search on a projected instance under
+// the ladder's budget, reusing sc's buffers. A decided sequential search
+// returns sc.res (see searchScratch). A tripped budget (state bound,
+// deadline, or cancellation) returns a nil Result and the budget error
+// carrying the partial stats.
+func searchInstance(bud *solver.Budget, inst *instance, opts *Options, sc *searchScratch) (*Result, *solver.ErrBudgetExceeded) {
+	ctx := bud.Context()
 	// Parallel exact search (Options.ParallelSearch): engaged when the
 	// memo can be shared (packed layout with a spare claim bit,
 	// memoization on) and nothing demands sequential execution — a
@@ -135,51 +147,49 @@ func searchInstance(ctx context.Context, inst *instance, opts *Options) (*Result
 	// and complete: the sequential search answers the same question.
 	if w := opts.PSearch(); w > 1 && opts.Memoize() && opts.PackedMemo() &&
 		opts.Sink() == nil && inst.nops >= psearchMinOps {
-		if layout := layoutFor(inst); layout != nil && layout.bitsUsed() < packedLayoutBits {
-			return searchInstanceParallel(ctx, inst, opts, layout, w)
+		if sc.layout.build(inst) && sc.layout.bitsUsed() < packedLayoutBits {
+			return searchInstanceParallel(ctx, inst, opts, &sc.layout, w)
 		}
 	}
 	start := time.Now()
-	budget := solver.Start(ctx, opts)
-	defer budget.Stop()
-	scratch := scratchPool.Get().(*searchScratch)
-	s := &searcher{
+	s := &sc.s
+	*s = searcher{
 		inst:      inst,
 		opts:      opts,
-		budget:    budget,
-		schedule:  scratch.schedule[:0],
-		candBuf:   scratch.candBuf[:0],
-		needed:    scratch.needed[:0],
-		keyBuf:    scratch.keyBuf[:0],
+		budget:    bud,
+		schedule:  sc.schedule[:0],
+		candBuf:   sc.candBuf[:0],
+		needed:    sc.needed[:0],
+		keyBuf:    sc.keyBuf[:0],
 		tr:        obs.TracerFrom(ctx),
 		met:       obs.MetricsFrom(ctx),
 		sink:      opts.Sink(),
 		snapEvery: opts.SnapshotEvery(),
 	}
-	if cap(scratch.pos) >= len(inst.hist) {
-		s.pos = scratch.pos[:len(inst.hist)]
+	if cap(sc.pos) >= len(inst.hist) {
+		s.pos = sc.pos[:len(inst.hist)]
 		clear(s.pos)
 	} else {
 		s.pos = make([]int, len(inst.hist))
 	}
-	if s.opts.Memoize() {
-		if opts.PackedMemo() {
-			s.layout = layoutFor(inst)
-		}
-		if s.layout != nil {
-			s.packed = &scratch.packed
-			s.packed.reset()
+	if opts.Memoize() {
+		if opts.PackedMemo() && sc.layout.build(inst) {
+			s.layout = &sc.layout
+			s.packed = &sc.packed
+			// Size the table to the instance: litmus-sized solves touch
+			// tens of states, not the global minimum table.
+			s.packed.resetSized(4 * inst.nops)
 		} else {
 			s.memo = make(map[string]struct{})
 		}
 	}
 	defer func() {
-		scratch.pos = s.pos
-		scratch.schedule = s.schedule[:0]
-		scratch.candBuf = s.candBuf[:0]
-		scratch.needed = s.needed[:0]
-		scratch.keyBuf = s.keyBuf[:0]
-		scratchPool.Put(scratch)
+		sc.pos = s.pos
+		sc.schedule = s.schedule[:0]
+		sc.candBuf = s.candBuf[:0]
+		sc.needed = s.needed[:0]
+		sc.keyBuf = s.keyBuf[:0]
+		s.inst, s.memo = nil, nil // a pooled scratch must not pin the instance
 	}()
 	s.obsOn = s.tr != nil || s.met != nil
 	s.seedMemo(opts.ResumeMemoSeed())
@@ -205,7 +215,8 @@ func searchInstance(ctx context.Context, inst *instance, opts *Options) (*Result
 		s.sp.End("budget: "+s.abort.Reason.String(), int64(s.stats.States))
 		return nil, s.abort
 	}
-	res := &Result{
+	res := &sc.res
+	*res = Result{
 		Coherent:  found,
 		Decided:   true,
 		Algorithm: "general-search",

@@ -13,15 +13,17 @@ import (
 )
 
 // Verifier is the unified facade over every coherence decision
-// procedure in this package. One Verifier, configured once with the
-// functional options of internal/solver, replaces the pre-facade sprawl
-// of entry points (Solve, SolveAuto, SolvePortfolio, SolveResilient,
-// VerifyExecution, VerifyExecutionParallel, VerifyExecutionPortfolio,
-// VerifyExecutionResilient, VerifyExecutionCheckpoint) — those remain as
-// deprecated one-line wrappers over this type.
+// procedure in this package: each address it checks climbs the
+// escalation ladder (ladder.go) as far as the configured strategy
+// allows. One Verifier, configured once with the functional options of
+// internal/solver, replaces the pre-facade sprawl of entry points
+// (Solve, SolveAuto, SolveResilient, VerifyExecution,
+// VerifyExecutionParallel, VerifyExecutionResilient,
+// VerifyExecutionCheckpoint) — those remain as deprecated one-line
+// wrappers over this type.
 //
 //	v := coherence.NewVerifier(
-//	        solver.WithStrategy(solver.StrategyPortfolio),
+//	        solver.WithStrategy(solver.StrategyFast),
 //	        solver.WithWorkers(8),
 //	        solver.WithBudget(solver.WithMaxStates(1e6), solver.WithTimeout(time.Second)),
 //	)
@@ -45,23 +47,22 @@ func NewVerifier(opts ...solver.ConfigOption) *Verifier {
 func (v *Verifier) Config() *solver.Config { return v.cfg }
 
 // AddrReport is the per-address outcome of a facade verification. It is
-// strategy-neutral: the exact strategies always decide (Verdict is
-// Coherent or Incoherent, Result non-nil), while StrategyResilient may
-// end at VerdictUnknown with a nil Result and the necessary-condition
-// evidence in Checks.
+// strategy-neutral: the strategies without degrade rungs always decide
+// (Verdict is Coherent or Incoherent, Result non-nil) or return a budget
+// error, while StrategyResilient may end at VerdictUnknown with a nil
+// Result and the necessary-condition evidence in Checks.
 type AddrReport struct {
 	// Addr is the address this report covers.
 	Addr memory.Addr
 	// Verdict is the three-valued answer for the address.
 	Verdict ResilientVerdict
-	// Rung is the degradation-ladder rung that produced the verdict
-	// (RungExact for the non-resilient strategies).
+	// Rung is the ladder rung that produced the verdict.
 	Rung Rung
 	// Result is the deciding solver's result (certificate, algorithm,
 	// per-solve stats); nil when Verdict is Unknown.
 	Result *Result
 	// Stats aggregates all work spent on the address, including the
-	// partial stats of exhausted ladder rungs.
+	// partial stats of rungs that escalated (Result.Stats is the same).
 	Stats Stats
 	// Checks lists the necessary-condition outcomes when the resilient
 	// ladder reached its last rung.
@@ -86,18 +87,6 @@ func addrReportFromResult(addr memory.Addr, r *Result) *AddrReport {
 		ar.Verdict = VerdictIncoherent
 	}
 	return ar
-}
-
-// addrReportFromResilient wraps a degradation-ladder outcome.
-func addrReportFromResilient(addr memory.Addr, rr *ResilientResult) *AddrReport {
-	return &AddrReport{
-		Addr:    addr,
-		Verdict: rr.Verdict,
-		Rung:    rr.Rung,
-		Result:  rr.Result,
-		Stats:   rr.Stats,
-		Checks:  rr.Checks,
-	}
 }
 
 // Report is the execution-level outcome of Verifier.Verify: one
@@ -191,49 +180,23 @@ func (v *Verifier) SolveAddr(ctx context.Context, exec *memory.Execution, addr m
 	return v.solveAddrOpts(ctx, exec, addr, v.cfg.Options)
 }
 
-// solveAddrOpts dispatches one address to the configured strategy with
-// an explicit per-solve Options value (the checkpointed loop derives a
-// per-address variant of the configured budget).
+// solveAddrOpts projects one address of a validated execution and runs
+// the ladder on it with an explicit per-solve Options value (the
+// checkpointed loop derives a per-address variant of the configured
+// budget, parallel verification a solo or team variant).
 func (v *Verifier) solveAddrOpts(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*AddrReport, error) {
-	switch v.cfg.Strategy {
-	case solver.StrategyResilient:
-		rr, err := solveResilientAddr(ctx, exec, addr, v.cfg.WriteOrders[addr], opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResilient(addr, rr), nil
-	case solver.StrategyPortfolio:
-		r, err := solvePortfolioAddr(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResult(addr, r), nil
-	case solver.StrategyExact:
-		r, err := solveExact(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResult(addr, r), nil
-	case solver.StrategyFast:
-		r, err := solveFastAddr(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		ar := addrReportFromResult(addr, r)
-		if r.Algorithm == "fastpath" {
-			// The frontline decided; record its rung for reports and spans.
-			ar.Rung = RungFast
-			ar.Stats.Rung = int(RungFast)
-			ar.Result.Stats.Rung = int(RungFast)
-		}
-		return ar, nil
-	default:
-		r, err := solveAutoAddr(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResult(addr, r), nil
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	ar, err := v.ladder(ctx, exec, project(exec, addr), opts, sc)
+	if err != nil {
+		return nil, err
 	}
+	if ar.Result == &sc.res {
+		// Detach the search's result from the pooled scratch.
+		r := sc.res
+		ar.Result = &r
+	}
+	return &ar, nil
 }
 
 // Verify checks every address of the execution under the configured

@@ -97,18 +97,6 @@ func TestFacadeWrapperParity(t *testing.T) {
 			}
 			sameResult(t, "SolveAuto", wr, fr)
 
-			// SolvePortfolio / StrategyPortfolio. The racer makes stats and
-			// winning algorithm scheduling-dependent on hard instances, so
-			// only the verdict is pinned.
-			wr, werr = SolvePortfolio(ctx, exec, addr, nil)
-			fr, ferr = NewVerifier(solver.WithStrategy(solver.StrategyPortfolio)).Solve(ctx, exec, addr)
-			if werr != nil || ferr != nil {
-				t.Fatalf("trial %d addr %d: portfolio errors: %v / %v", n, addr, werr, ferr)
-			}
-			if wr.Coherent != fr.Coherent {
-				t.Errorf("trial %d addr %d: portfolio verdict mismatch", n, addr)
-			}
-
 			// SolveResilient / StrategyResilient + write orders.
 			worder := tc.orders[addr]
 			rr, werr := SolveResilient(ctx, exec, addr, worder, nil)

@@ -55,11 +55,15 @@ func SolveWithWriteOrder(ctx context.Context, exec *memory.Execution, addr memor
 	return r, err
 }
 
-// toProjectionRefs translates original execution refs to projection refs.
+// toProjectionRefs translates original execution refs to projection
+// refs, whichever back-map form the instance carries.
 func (in *instance) toProjectionRefs(refs []memory.Ref, addr memory.Addr) ([]memory.Ref, error) {
-	fwd := make(map[memory.Ref]memory.Ref, len(in.back))
-	for projRef, origRef := range in.back {
-		fwd[origRef] = projRef
+	fwd := make(map[memory.Ref]memory.Ref, in.nops)
+	for p, h := range in.hist {
+		for i := range h {
+			pr := memory.Ref{Proc: p, Index: i}
+			fwd[in.origRef(pr)] = pr
+		}
 	}
 	out := make([]memory.Ref, len(refs))
 	for i, r := range refs {

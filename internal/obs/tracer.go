@@ -147,30 +147,6 @@ func (t *Tracer) BudgetPoll(sp Span, states int64, depth int) {
 	t.emit(Event{Kind: KindBudgetPoll, Span: sp.id, States: states, Depth: depth})
 }
 
-// Stage records a portfolio stage transition.
-func (t *Tracer) Stage(sp Span, name string) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: KindStage, Span: sp.id, Name: name})
-}
-
-// RaceWin records candidate idx winning a portfolio race.
-func (t *Tracer) RaceWin(sp Span, idx int, detail string) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: KindRaceWin, Span: sp.id, N: int64(idx), Detail: detail})
-}
-
-// RaceLoss records candidate idx losing a portfolio race.
-func (t *Tracer) RaceLoss(sp Span, idx int, detail string) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: KindRaceLoss, Span: sp.id, N: int64(idx), Detail: detail})
-}
-
 // Bus records a MESI snooping-bus transaction.
 func (t *Tracer) Bus(name string, cpu int, addr int64, value int64) {
 	if t == nil {
@@ -195,8 +171,8 @@ func (t *Tracer) SAT(sp Span, name string, conflicts int64) {
 	t.emit(Event{Kind: KindSAT, Span: sp.id, Name: name, States: conflicts})
 }
 
-// WorkerPanic records a panic recovered inside a pool worker or race
-// candidate; name labels the worker, detail carries the panic value.
+// WorkerPanic records a panic recovered inside a pool worker; name
+// labels the worker, detail carries the panic value.
 func (t *Tracer) WorkerPanic(sp Span, name, detail string) {
 	if t == nil {
 		return
@@ -213,8 +189,8 @@ func (t *Tracer) Checkpoint(sp Span, states int64, memoEntries int) {
 	t.emit(Event{Kind: KindCheckpoint, Span: sp.id, States: states, N: int64(memoEntries)})
 }
 
-// Degrade records a resilience-ladder step-down to the named rung;
-// detail carries what exhausted the stronger rung.
+// Degrade records an escalation-ladder step to the named rung; detail
+// says why the previous rung could not decide.
 func (t *Tracer) Degrade(sp Span, rung, detail string) {
 	if t == nil {
 		return

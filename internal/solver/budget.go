@@ -164,37 +164,25 @@ func (b *Budget) Err() *ErrBudgetExceeded { return b.tripped }
 // MaxStates bound is exact for the search as a whole: the counter equals
 // the total number of states any worker visited, and the trip error is
 // published once (first tripper wins) and then returned to every
-// worker. Wall-clock timeouts compose the same way as Budget's — the
-// shared context carries the deadline and every worker polls it on its
-// own amortized cadence.
+// worker. The wall-clock deadline comes from the context: the caller's
+// per-solve Budget has already applied Options.Timeout to it, and every
+// worker polls it on its own amortized cadence.
 type SharedBudget struct {
 	ctx     context.Context
-	cancel  context.CancelFunc
 	limit   int64
 	states  atomic.Int64
 	tripped atomic.Pointer[ErrBudgetExceeded]
 }
 
-// StartShared derives a SharedBudget from the incoming context and
-// options, applying Options.Timeout as a child deadline like Start.
-func StartShared(ctx context.Context, opts *Options) *SharedBudget {
-	b := &SharedBudget{ctx: ctx, limit: int64(opts.Limit())}
-	if d := opts.SolveTimeout(); d > 0 {
-		b.ctx, b.cancel = context.WithTimeout(ctx, d)
-	}
-	return b
+// StartShared derives a SharedBudget with the given state bound (0 =
+// unlimited) from a context that already carries the solve's deadline.
+func StartShared(ctx context.Context, limit int) *SharedBudget {
+	return &SharedBudget{ctx: ctx, limit: int64(limit)}
 }
 
-// Context returns the budget's context (with any Options.Timeout
-// applied), for deriving per-worker cancellation.
+// Context returns the budget's context, for deriving per-worker
+// cancellation.
 func (b *SharedBudget) Context() context.Context { return b.ctx }
-
-// Stop releases the timeout timer, if any.
-func (b *SharedBudget) Stop() {
-	if b.cancel != nil {
-		b.cancel()
-	}
-}
 
 // Charge records that some worker is visiting one more state and
 // returns the trip error once any budget dimension has tripped.

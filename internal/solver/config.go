@@ -7,38 +7,36 @@ import (
 	"memverify/internal/memory"
 )
 
-// Strategy selects the decision-procedure family a Verifier facade runs.
-// It is the one knob that used to be spread across separate entry points
-// (Solve vs SolveAuto vs SolvePortfolio vs SolveResilient): every
-// strategy decides the same question, they differ in how the work is
-// organized and what happens when the budget runs out.
+// Strategy selects which rungs of the per-address escalation ladder a
+// Verifier facade runs. Every strategy decides the same question; they
+// differ only in which rungs run before and after the exact search. The
+// ladder, in order (see internal/coherence):
+//
+//	fast path → Figure 5.3 specialists → exact search (∥n) → degrade rungs
+//
+// All rungs of one address share one budget: a single Options.Timeout
+// deadline, and a MaxStates bound that only the exact search charges.
 type Strategy int
 
 const (
-	// StrategyAuto dispatches each instance to the fastest applicable
-	// algorithm (the Figure 5.3 polynomial rows, falling back to the
-	// general memoized search). The default.
+	// StrategyAuto runs the Figure 5.3 specialists (the polynomial
+	// rows), then the exact search. The default.
 	StrategyAuto Strategy = iota
-	// StrategyPortfolio stages the polynomial specialists, a capped
-	// escalation probe, and a two-configuration race of the general
-	// search on the shared bounded pool.
-	StrategyPortfolio
-	// StrategyResilient runs the graceful-degradation ladder: the exact
-	// search first, then — on budget exhaustion — write-order hints,
-	// exhaustive small-write-order enumeration, and sound necessary
-	// conditions, ending in an explicit Unknown verdict instead of an
-	// error.
+	// StrategyResilient runs every rung: the fast path, the
+	// specialists, the exact search, and — when the budget stops the
+	// search — the degrade rungs (a supplied write order, exhaustive
+	// small write-order enumeration, sound necessary conditions),
+	// ending in an explicit Unknown verdict instead of an error.
 	StrategyResilient
-	// StrategyExact always runs the general memoized search, skipping
-	// the polynomial specialist dispatch (ablation and cross-check use).
+	// StrategyExact runs the exact search only (ablation and
+	// cross-check use).
 	StrategyExact
-	// StrategyFast runs the polynomial constraint-propagation frontline
-	// first (see internal/coherence's fast path): it derives per-address
-	// ordering constraints with vector clocks and answers definitively
-	// when they force a verdict, escalating to the auto dispatch only on
-	// an INCONCLUSIVE outcome. The frontline never charges the MaxStates
-	// budget, so huge-but-structured traces decide in near-linear time
-	// under budgets that would stop the exact search immediately.
+	// StrategyFast runs the polynomial constraint-propagation fast path
+	// first, then the specialists and the exact search when it is
+	// inconclusive. The fast path never charges the MaxStates budget,
+	// so huge-but-structured traces decide in near-linear time under
+	// budgets that would stop the exact search immediately. The
+	// spelling "portfolio" parses to this strategy.
 	StrategyFast
 )
 
@@ -47,8 +45,6 @@ func (s Strategy) String() string {
 	switch s {
 	case StrategyAuto:
 		return "auto"
-	case StrategyPortfolio:
-		return "portfolio"
 	case StrategyResilient:
 		return "resilient"
 	case StrategyExact:
@@ -61,21 +57,20 @@ func (s Strategy) String() string {
 
 // ParseStrategy maps the request/flag spelling back to a Strategy. The
 // empty string parses to StrategyAuto, so absent request fields get the
-// default without special-casing.
+// default without special-casing. "portfolio", the name of a retired
+// strategy, is accepted as an alias for StrategyFast.
 func ParseStrategy(name string) (Strategy, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "auto":
 		return StrategyAuto, nil
-	case "portfolio":
-		return StrategyPortfolio, nil
 	case "resilient":
 		return StrategyResilient, nil
 	case "exact":
 		return StrategyExact, nil
-	case "fast":
+	case "fast", "portfolio":
 		return StrategyFast, nil
 	}
-	return StrategyAuto, fmt.Errorf("solver: unknown strategy %q (want auto, portfolio, resilient, exact or fast)", name)
+	return StrategyAuto, fmt.Errorf("solver: unknown strategy %q (want auto, fast, resilient or exact)", name)
 }
 
 // Config is the unified configuration of a Verifier facade

@@ -12,9 +12,7 @@
 //     hits/misses, peak search depth, branch factor, eager-read count);
 //   - Verdict: the interface unifying coherence.Result and
 //     consistency.Result so callers can render one report format;
-//   - Pool / Race: a shared bounded worker pool and a portfolio racer
-//     that runs several algorithms concurrently and keeps the first
-//     finisher, cancelling the rest.
+//   - Pool: a bounded worker pool for teams of search workers.
 package solver
 
 import (
@@ -52,13 +50,6 @@ type Options struct {
 	// affect completeness, only how fast a certificate or refutation is
 	// found).
 	DisableWriteGuidance bool
-	// DisableFastPath turns off the polynomial constraint-propagation
-	// frontline (internal/coherence's fast path): StrategyFast degrades to
-	// the plain auto dispatch, SolveResilient's ladder starts at the exact
-	// search, and SolvePortfolio skips its opening fast stage. Ablation
-	// and crossover-benchmark knob — the frontline is sound, so disabling
-	// it can only cost time, never change a verdict.
-	DisableFastPath bool
 	// DisablePackedMemo forces the varint-string memo table even when the
 	// instance fits the packed uint64 state layout (ablation and
 	// cross-check knob: the two memo representations must explore
@@ -141,10 +132,6 @@ func WithoutWriteGuidance() Option { return func(o *Options) { o.DisableWriteGui
 // WithoutPackedMemo forces the string-key memo table (cross-check knob).
 func WithoutPackedMemo() Option { return func(o *Options) { o.DisablePackedMemo = true } }
 
-// WithoutFastPath disables the polynomial constraint-propagation
-// frontline (ablation knob; see Options.DisableFastPath).
-func WithoutFastPath() Option { return func(o *Options) { o.DisableFastPath = true } }
-
 // WithParallelSearch lets a single exact search fan its DFS frontier out
 // across n workers (see Options.ParallelSearch). 0 or 1 searches
 // sequentially.
@@ -179,9 +166,6 @@ func (o *Options) WriteGuidance() bool { return o == nil || !o.DisableWriteGuida
 // PackedMemo reports whether the packed uint64 memo representation may
 // be used when the instance fits its layout. Nil-safe.
 func (o *Options) PackedMemo() bool { return o == nil || !o.DisablePackedMemo }
-
-// FastPath reports whether the polynomial frontline is on. Nil-safe.
-func (o *Options) FastPath() bool { return o == nil || !o.DisableFastPath }
 
 // PSearch returns the intra-instance search worker count (0 or 1 =
 // sequential). Nil-safe.
