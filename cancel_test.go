@@ -62,6 +62,9 @@ func hardFig41Instance(t testing.TB) *reduction.VMCInstance {
 // "portfolio" strategy spelling resolves to it.
 var fastVerifier = coherence.NewVerifier(solver.WithStrategy(solver.StrategyFast))
 
+// exactVerifier runs the exact search alone.
+var exactVerifier = coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact))
+
 // TestDeadlineStrikesMidSearch drives the acceptance criterion: on a
 // hard Figure 4.1 instance, a 50ms deadline must abort every
 // search-based entry point with a budget error carrying partial stats,
@@ -75,28 +78,24 @@ func TestDeadlineStrikesMidSearch(t *testing.T) {
 		name string
 		call func(ctx context.Context) error
 	}{
-		{"coherence.Solve", func(ctx context.Context) error {
-			_, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil)
+		{"coherence.Verifier(exact).SolveAddr", func(ctx context.Context) error {
+			_, err := exactVerifier.SolveAddr(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
-		{"coherence.SolveAuto", func(ctx context.Context) error {
-			_, err := coherence.SolveAuto(ctx, inst.Exec, inst.Addr, nil)
+		{"coherence.Verifier.SolveAddr", func(ctx context.Context) error {
+			_, err := coherence.NewVerifier().SolveAddr(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
-		{"coherence.Verifier(fast).Solve", func(ctx context.Context) error {
-			_, err := fastVerifier.Solve(ctx, inst.Exec, inst.Addr)
+		{"coherence.Verifier(fast).SolveAddr", func(ctx context.Context) error {
+			_, err := fastVerifier.SolveAddr(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
-		{"coherence.Coherent", func(ctx context.Context) error {
-			_, _, err := coherence.Coherent(ctx, inst.Exec, nil)
+		{"coherence.Verifier.Verify", func(ctx context.Context) error {
+			_, err := coherence.NewVerifier().Verify(ctx, inst.Exec)
 			return err
 		}},
-		{"coherence.VerifyExecution", func(ctx context.Context) error {
-			_, err := coherence.VerifyExecution(ctx, inst.Exec, nil)
-			return err
-		}},
-		{"coherence.VerifyExecutionParallel", func(ctx context.Context) error {
-			_, err := coherence.VerifyExecutionParallel(ctx, inst.Exec, nil, 4)
+		{"coherence.Verifier(workers).Verify", func(ctx context.Context) error {
+			_, err := coherence.NewVerifier(solver.WithWorkers(4)).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"coherence.Verifier(fast).Verify", func(ctx context.Context) error {
@@ -107,28 +106,24 @@ func TestDeadlineStrikesMidSearch(t *testing.T) {
 			_, err := coherence.Count(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
-		{"consistency.SolveVSC", func(ctx context.Context) error {
-			_, err := consistency.SolveVSC(ctx, inst.Exec, nil)
-			return err
-		}},
 		{"consistency.Verify(SC)", func(ctx context.Context) error {
-			_, err := consistency.Verify(ctx, consistency.SC, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.SC).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"consistency.Verify(CoherenceOnly)", func(ctx context.Context) error {
-			_, err := consistency.Verify(ctx, consistency.CoherenceOnly, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.CoherenceOnly).Verify(ctx, inst.Exec)
 			return err
 		}},
-		{"consistency.SolveVSCC", func(ctx context.Context) error {
-			_, err := consistency.SolveVSCC(ctx, inst.Exec, nil)
+		{"consistency.Verify(VSCC)", func(ctx context.Context) error {
+			_, err := consistency.NewVerifier(consistency.VSCC).Verify(ctx, inst.Exec)
 			return err
 		}},
-		{"consistency.VerifyTSO", func(ctx context.Context) error {
-			_, err := consistency.VerifyTSO(ctx, inst.Exec, nil)
+		{"consistency.Verify(TSO)", func(ctx context.Context) error {
+			_, err := consistency.NewVerifier(consistency.TSO).Verify(ctx, inst.Exec)
 			return err
 		}},
-		{"consistency.VerifyPSO", func(ctx context.Context) error {
-			_, err := consistency.VerifyPSO(ctx, inst.Exec, nil)
+		{"consistency.Verify(PSO)", func(ctx context.Context) error {
+			_, err := consistency.NewVerifier(consistency.PSO).Verify(ctx, inst.Exec)
 			return err
 		}},
 	}
@@ -192,13 +187,17 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 		memory.History{memory.Acq(), memory.R(0, 1), memory.Rel()},
 	).SetInitial(0, 0)
 
+	// verify wraps a consistency model's Verifier as a table row.
+	verify := func(m consistency.Model, exec *memory.Execution, opts ...solver.ConfigOption) func() error {
+		return func() error { _, err := consistency.NewVerifier(m, opts...).Verify(ctx, exec); return err }
+	}
 	entryPoints := []struct {
 		name string
 		call func() error
 	}{
-		{"coherence.Solve", func() error { _, err := coherence.Solve(ctx, simple, 0, nil); return err }},
-		{"coherence.SolveAuto", func() error { _, err := coherence.SolveAuto(ctx, simple, 0, nil); return err }},
-		{"coherence.Verifier(fast).Solve", func() error { _, err := fastVerifier.Solve(ctx, simple, 0); return err }},
+		{"coherence.Verifier(exact).SolveAddr", func() error { _, err := exactVerifier.SolveAddr(ctx, simple, 0); return err }},
+		{"coherence.Verifier.SolveAddr", func() error { _, err := coherence.NewVerifier().SolveAddr(ctx, simple, 0); return err }},
+		{"coherence.Verifier(fast).SolveAddr", func() error { _, err := fastVerifier.SolveAddr(ctx, simple, 0); return err }},
 		{"coherence.SolveReadMap", func() error { _, err := coherence.SolveReadMap(ctx, simple, 0); return err }},
 		{"coherence.SolveSingleOp", func() error { _, err := coherence.SolveSingleOp(ctx, simple, 0); return err }},
 		{"coherence.SolveSingleOpRMW", func() error { _, err := coherence.SolveSingleOpRMW(ctx, rmw, 0); return err }},
@@ -212,30 +211,31 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 		}},
 		{"coherence.Count", func() error { _, err := coherence.Count(ctx, simple, 0); return err }},
 		{"coherence.Diagnose", func() error { _, err := coherence.Diagnose(ctx, incoherent, 0, nil); return err }},
-		{"coherence.Coherent", func() error { _, _, err := coherence.Coherent(ctx, simple, nil); return err }},
-		{"coherence.VerifyExecution", func() error { _, err := coherence.VerifyExecution(ctx, simple, nil); return err }},
-		{"coherence.VerifyExecutionParallel", func() error {
-			_, err := coherence.VerifyExecutionParallel(ctx, simple, nil, 2)
+		{"coherence.Verifier.Verify", func() error { _, err := coherence.NewVerifier().Verify(ctx, simple); return err }},
+		{"coherence.Verifier(workers).Verify", func() error {
+			_, err := coherence.NewVerifier(solver.WithWorkers(2)).Verify(ctx, simple)
 			return err
 		}},
 		{"coherence.Verifier(fast).Verify", func() error { _, err := fastVerifier.Verify(ctx, simple); return err }},
-		{"consistency.SolveVSC", func() error { _, err := consistency.SolveVSC(ctx, simple, nil); return err }},
-		{"consistency.SolveVSCC", func() error { _, err := consistency.SolveVSCC(ctx, simple, nil); return err }},
-		{"consistency.SolveVSCWithWriteOrders", func() error {
-			_, err := consistency.SolveVSCWithWriteOrders(ctx, simple, map[memory.Addr][]memory.Ref{0: simpleOrder}, nil)
+		{"coherence.Verifier(resilient).Verify", func() error {
+			_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyResilient)).Verify(ctx, simple)
 			return err
 		}},
-		{"consistency.VerifyTSO", func() error { _, err := consistency.VerifyTSO(ctx, simple, nil); return err }},
-		{"consistency.VerifyPSO", func() error { _, err := consistency.VerifyPSO(ctx, simple, nil); return err }},
-		{"consistency.VerifyLRC", func() error { _, err := consistency.VerifyLRC(ctx, synced, nil); return err }},
-		{"consistency.Verify(SC)", func() error { _, err := consistency.Verify(ctx, consistency.SC, simple, nil); return err }},
-		{"consistency.Verify(TSO)", func() error { _, err := consistency.Verify(ctx, consistency.TSO, simple, nil); return err }},
-		{"consistency.Verify(PSO)", func() error { _, err := consistency.Verify(ctx, consistency.PSO, simple, nil); return err }},
-		{"consistency.Verify(CoherenceOnly)", func() error {
-			_, err := consistency.Verify(ctx, consistency.CoherenceOnly, simple, nil)
+		{"coherence.Verifier.VerifyCheckpoint", func() error {
+			_, err := coherence.NewVerifier().VerifyCheckpoint(ctx, simple, nil)
 			return err
 		}},
-		{"consistency.Verify(LRC)", func() error { _, err := consistency.Verify(ctx, consistency.LRC, synced, nil); return err }},
+		{"coherence.Verifier.SolveBatch", func() error {
+			return coherence.NewVerifier().SolveBatch(ctx, []coherence.BatchJob{{Exec: simple, Addr: 0}})[0].Err
+		}},
+		{"consistency.Verify(SC)", verify(consistency.SC, simple)},
+		{"consistency.Verify(SC+WriteOrders)", verify(consistency.SC, simple,
+			solver.WithWriteOrders(map[memory.Addr][]memory.Ref{0: simpleOrder}))},
+		{"consistency.Verify(VSCC)", verify(consistency.VSCC, simple)},
+		{"consistency.Verify(TSO)", verify(consistency.TSO, simple)},
+		{"consistency.Verify(PSO)", verify(consistency.PSO, simple)},
+		{"consistency.Verify(CoherenceOnly)", verify(consistency.CoherenceOnly, simple)},
+		{"consistency.Verify(LRC)", verify(consistency.LRC, synced)},
 	}
 
 	for _, ep := range entryPoints {

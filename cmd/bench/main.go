@@ -27,7 +27,7 @@
 // work-stealing parallel search against the sequential search on one
 // hard Figure 4.1 instance (median wall time over repeated runs, 4
 // workers), and the vectorized SolveBatch driver against a loop of
-// Verifier.Solve on a memverifyd-shaped burst of litmus-sized
+// Verifier.SolveAddr on a memverifyd-shaped burst of litmus-sized
 // instances. The report (BENCH_PR10.json) carries the two headline
 // ratios — "speedup" and "batch_throughput" — that CI validates.
 //
@@ -53,8 +53,8 @@ import (
 	"time"
 
 	"memverify/internal/coherence"
-	"memverify/internal/obs"
 	"memverify/internal/memory"
+	"memverify/internal/obs"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
 	"memverify/internal/solver"
@@ -124,22 +124,29 @@ func benchFormula(seed int64, m, n int) *sat.Formula {
 	return f
 }
 
-// solveCase builds a benchCase around coherence.Solve on a single-address
-// instance.
+// exactVerifier runs the exact search alone, so every case measures the
+// search's own cost and state count.
+func exactVerifier(opts *coherence.Options) *coherence.Verifier {
+	return coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts))
+}
+
+// solveCase builds a benchCase around an exact-search SolveAddr on a
+// single-address instance.
 func solveCase(name string, quick bool, exec *memory.Execution, addr memory.Addr, opts *coherence.Options) benchCase {
+	v := exactVerifier(opts)
 	return benchCase{
 		name:  name,
 		quick: quick,
 		op: func() error {
-			_, err := coherence.Solve(context.Background(), exec, addr, opts)
+			_, err := v.SolveAddr(context.Background(), exec, addr)
 			return err
 		},
 		states: func() (int, error) {
-			r, err := coherence.Solve(context.Background(), exec, addr, opts)
+			ar, err := v.SolveAddr(context.Background(), exec, addr)
 			if err != nil {
 				return 0, err
 			}
-			return r.Stats.States, nil
+			return ar.Stats.States, nil
 		},
 	}
 }
@@ -209,11 +216,11 @@ func buildSuite(quick bool) ([]benchCase, error) {
 		})
 		cases = append(cases,
 			benchCase{name: "verify-parallel/serial", op: func() error {
-				_, err := coherence.VerifyExecution(context.Background(), exec, nil)
+				_, err := coherence.NewVerifier().Verify(context.Background(), exec)
 				return err
 			}},
 			benchCase{name: "verify-parallel/parallel", op: func() error {
-				_, err := coherence.VerifyExecutionParallel(context.Background(), exec, nil, 0)
+				_, err := coherence.NewVerifier(solver.WithWorkers(runtime.NumCPU())).Verify(context.Background(), exec)
 				return err
 			}},
 		)
@@ -454,7 +461,7 @@ type psearchEntry struct {
 // report.
 type batchBenchEntry struct {
 	Name string `json:"name"`
-	// Mode is "loop" (Verifier.Solve per job) or "batch" (SolveBatch).
+	// Mode is "loop" (Verifier.SolveAddr per job) or "batch" (SolveBatch).
 	Mode       string  `json:"mode"`
 	Jobs       int     `json:"jobs"`
 	Execs      int     `json:"execs"`
@@ -511,8 +518,12 @@ func psearchHardCase(quick bool) (string, *memory.Execution, memory.Addr, error)
 // timedSolve runs one solve and reports its wall time.
 func timedSolve(exec *memory.Execution, addr memory.Addr, opts *solver.Options) (time.Duration, *coherence.Result, error) {
 	t0 := time.Now()
-	r, err := coherence.Solve(context.Background(), exec, addr, opts)
-	return time.Since(t0), r, err
+	ar, err := exactVerifier(opts).SolveAddr(context.Background(), exec, addr)
+	d := time.Since(t0)
+	if err != nil {
+		return d, nil, err
+	}
+	return d, ar.Result, nil
 }
 
 // medianOf returns the median duration and its index.
@@ -599,7 +610,7 @@ func measureBurst(mode string, runs int, execs int, jobs []coherence.BatchJob) (
 		switch mode {
 		case "loop":
 			for _, j := range jobs {
-				if _, err := v.Solve(context.Background(), j.Exec, j.Addr); err != nil {
+				if _, err := v.SolveAddr(context.Background(), j.Exec, j.Addr); err != nil {
 					return batchBenchEntry{}, fmt.Errorf("burst loop: %w", err)
 				}
 			}
@@ -625,7 +636,7 @@ func measureBurst(mode string, runs int, execs int, jobs []coherence.BatchJob) (
 }
 
 // runPsearch measures the PR 10 pair — parallel search vs sequential on
-// one hard instance, SolveBatch vs a Verifier.Solve loop on a burst —
+// one hard instance, SolveBatch vs a Verifier.SolveAddr loop on a burst —
 // and writes the report; split from main for the package test.
 //
 // On a single-CPU host the parallel search cannot win by core count; it

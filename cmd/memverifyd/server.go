@@ -1099,7 +1099,11 @@ func (s *Server) verifyConsistency(ctx context.Context, model consistency.Model,
 		return nil, err
 	}
 	resp := &VerifyResponse{Verdict: "consistent", Algorithm: res.Algorithm, Stats: statsJSON(res.Stats)}
-	if !res.Consistent {
+	switch {
+	case !res.Decided:
+		resp.Verdict = "undecided"
+		resp.Reason = "resilient ladder exhausted"
+	case !res.Consistent:
 		resp.Verdict = "inconsistent"
 	}
 	return resp, nil

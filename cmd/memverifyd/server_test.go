@@ -345,6 +345,36 @@ func TestUndecidedOnBudget(t *testing.T) {
 	}
 }
 
+// TestUndecidedVSCCPromise: a resilient VSCC request whose coherence
+// promise ends Unknown is an undecided answer (200), not a broken
+// promise (400). The trace is the satisfiable Figure 4.1 instance of
+// (x1∨x2)(¬x1∨x3)(¬x2∨¬x3)(x1∨¬x3), as cmd/reduce -to vmc prints it.
+func TestUndecidedVSCCPromise(t *testing.T) {
+	inst, err := reduction.SATToVMC(sat.NewFormula(
+		sat.Clause{1, 2}, sat.Clause{-1, 3}, sat.Clause{-2, -3}, sat.Clause{1, -3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, trace.New(inst.Exec)); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, serverConfig{workers: 2})
+	resp, vr := postTrace(t, ts, "?model=vscc&strategy=resilient&max_states=1", buf.String())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if vr.Verdict != "undecided" || vr.Reason == "" {
+		t.Errorf("want undecided with reason, got %+v", vr)
+	}
+	if _, again := postTrace(t, ts, "?model=vscc&strategy=resilient&max_states=1", buf.String()); again.Cached {
+		t.Error("undecided verdict was cached")
+	}
+	if s.stats.Undecided.Value() != 2 {
+		t.Errorf("undecided counter %d", s.stats.Undecided.Value())
+	}
+}
+
 // TestCancellationMidRequest proves a client disconnect propagates as
 // context cancellation into the running search: the handler returns
 // long before the multi-second search could finish, and the server

@@ -8,6 +8,8 @@ import (
 
 	"memverify/internal/coherence"
 	"memverify/internal/consistency"
+	"memverify/internal/memory"
+	"memverify/internal/solver"
 	"memverify/internal/trace"
 )
 
@@ -33,11 +35,7 @@ func TestReduceVMCPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := coherence.Solve(context.Background(), tr.Exec, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Coherent {
+			if !exactCoherent(t, tr.Exec) {
 				t.Error("satisfiable formula produced incoherent instance")
 			}
 
@@ -49,15 +47,21 @@ func TestReduceVMCPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = coherence.Solve(context.Background(), tr.Exec, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Coherent {
+			if exactCoherent(t, tr.Exec) {
 				t.Error("unsatisfiable formula produced coherent instance")
 			}
 		})
 	}
+}
+
+// exactCoherent decides address 0 of exec with the exact search.
+func exactCoherent(t *testing.T, exec *memory.Execution) bool {
+	t.Helper()
+	ar, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).SolveAddr(context.Background(), exec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ar.Verdict == coherence.VerdictCoherent
 }
 
 func TestReduceWideClauseConversion(t *testing.T) {
@@ -70,11 +74,7 @@ func TestReduceWideClauseConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), tr.Exec, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Coherent {
+	if !exactCoherent(t, tr.Exec) {
 		t.Error("wide satisfiable clause produced incoherent instance")
 	}
 }
@@ -88,7 +88,7 @@ func TestReduceVSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.SolveVSCC(context.Background(), tr.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}

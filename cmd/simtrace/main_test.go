@@ -27,10 +27,12 @@ func TestMESITraceIsCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, bad, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ok := rep.Coherent()
+	bad, _ := rep.FirstViolation()
 	if !ok {
 		t.Errorf("fault-free MESI trace incoherent at address %d", bad)
 	}
@@ -45,7 +47,7 @@ func TestTSOTracePassesTSOChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.VerifyTSO(context.Background(), tr.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +67,11 @@ func TestFaultInjectionEventuallyDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, _, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ok := rep.Coherent()
 		if !ok {
 			return // detected
 		}
@@ -117,10 +120,12 @@ func TestDirectoryMachineTraceIsCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, bad, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ok := rep.Coherent()
+	bad, _ := rep.FirstViolation()
 	if !ok {
 		t.Errorf("fault-free directory trace incoherent at address %d", bad)
 	}
@@ -136,10 +141,11 @@ func TestDirectoryFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, _, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ok := rep.Coherent()
 		if !ok {
 			return // detected
 		}

@@ -400,9 +400,8 @@ func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stder
 				}
 				continue
 			}
-			rr := ar.Resilient()
-			reportResilient(stdout, tr.Name(a), rr, tr.Exec, c.stats, c.cert)
-			if rr.Verdict != coherence.VerdictCoherent {
+			reportResilient(stdout, tr.Name(a), ar, tr.Exec, c.stats, c.cert)
+			if ar.Verdict != coherence.VerdictCoherent {
 				bad++
 			}
 			continue
@@ -418,7 +417,10 @@ func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stder
 			}
 			res, err = coherence.SolveWithWriteOrder(ctx, tr.Exec, a, order, c.cfg.Options)
 		} else {
-			res, err = c.verifier(opts).Solve(ctx, tr.Exec, a)
+			var ar *coherence.AddrReport
+			if ar, err = c.verifier(opts).SolveAddr(ctx, tr.Exec, a); err == nil {
+				res = ar.Result
+			}
 		}
 		c.lat.ObserveSince(solveStart)
 		if err != nil {
@@ -502,7 +504,7 @@ func (c *coherenceCheck) handleSolveErr(tr *trace.Trace, a memory.Addr, err erro
 // reportResilient renders a degradation-ladder verdict in the shared
 // report shape, naming the rung that decided, and — for an Unknown
 // verdict — the necessary-condition evidence.
-func reportResilient(w io.Writer, subject string, rr *coherence.ResilientResult, exec *memory.Execution, stats, cert bool) {
+func reportResilient(w io.Writer, subject string, rr *coherence.AddrReport, exec *memory.Execution, stats, cert bool) {
 	verdict := map[coherence.ResilientVerdict]string{
 		coherence.VerdictCoherent:   "OK",
 		coherence.VerdictIncoherent: "VIOLATION",

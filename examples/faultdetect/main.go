@@ -19,15 +19,17 @@ import (
 func main() {
 	rng := rand.New(rand.NewSource(42))
 
+	v := coherence.NewVerifier()
+
 	// A healthy 4-CPU system first.
 	healthy := mesi.New(mesi.Config{Processors: 4})
 	prog := mesi.RandomProgram(rng, 4, 12, 3, 0.4, 0.1)
 	exec := mesi.Run(healthy, prog, rng)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := v.Verify(context.Background(), exec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("healthy system: %d ops, coherent = %v\n", exec.NumOps(), ok)
+	fmt.Printf("healthy system: %d ops, coherent = %v\n", exec.NumOps(), rep.Coherent())
 	fmt.Printf("  cache stats: %+v\n\n", healthy.Stats())
 
 	// Now inject protocol faults until one produces an observable
@@ -50,11 +52,11 @@ func main() {
 			if sys.Stats().FaultsFired == 0 {
 				continue
 			}
-			ok, addr, err := coherence.Coherent(context.Background(), ex, nil)
+			rep, err := v.Verify(context.Background(), ex)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if !ok {
+			if addr, bad := rep.FirstViolation(); bad {
 				fmt.Printf("%-16s: DETECTED at address %d (seed %d)\n", kind, addr, seed)
 				break
 			}

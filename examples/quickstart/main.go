@@ -26,10 +26,11 @@ func main() {
 		memory.History{memory.R(x, 1), memory.R(x, 2)},
 	).SetInitial(x, 0)
 
-	res, err := v.Solve(context.Background(), good, x)
+	ar, err := v.SolveAddr(context.Background(), good, x)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := ar.Result
 	fmt.Printf("execution 1 coherent: %v (algorithm: %s)\n", res.Coherent, res.Algorithm)
 	fmt.Printf("certificate schedule: %s\n\n", res.Schedule.Format(good))
 
@@ -41,11 +42,11 @@ func main() {
 		memory.History{memory.R(x, 2), memory.R(x, 1)},
 	).SetInitial(x, 0)
 
-	res, err = v.Solve(context.Background(), bad, x)
+	ar, err = v.SolveAddr(context.Background(), bad, x)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("execution 2 coherent: %v\n", res.Coherent)
+	fmt.Printf("execution 2 coherent: %v\n", ar.Verdict == coherence.VerdictCoherent)
 
 	// Whole executions (many addresses) are verified address by address;
 	// Verify returns a per-address report.

@@ -15,6 +15,7 @@ import (
 	"memverify/internal/coherence"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 func main() {
@@ -33,11 +34,13 @@ func main() {
 	fmt.Printf("reduced to a VMC instance: %d histories, %d operations, 1 address\n",
 		len(inst.Exec.Histories), inst.Exec.NumOps())
 
-	// Decide SAT by deciding coherence.
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	// Decide SAT by deciding coherence with the exact search.
+	v := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact))
+	ar, err := v.SolveAddr(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := ar.Result
 	fmt.Printf("coherent schedule exists: %v  (states searched: %d)\n", res.Coherent, res.Stats.States)
 	if res.Coherent {
 		asg, err := inst.DecodeAssignment(res.Schedule)
@@ -61,9 +64,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := coherence.Solve(context.Background(), inst2.Exec, inst2.Addr, nil)
+	ar2, err := v.SolveAddr(context.Background(), inst2.Exec, inst2.Addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("formula %s -> coherent: %v (as expected: unsatisfiable)\n", unsat, res2.Coherent)
+	fmt.Printf("formula %s -> coherent: %v (as expected: unsatisfiable)\n", unsat, ar2.Result.Coherent)
 }

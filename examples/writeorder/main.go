@@ -25,6 +25,8 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 
 	const budget = 2_000_000
+	search := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact),
+		solver.WithBudget(solver.WithMaxStates(budget)))
 	for _, n := range []int{1000, 4000, 16000} {
 		exec, orders := workload.GenerateCoherent(rng, workload.GenConfig{
 			Processors:    4,
@@ -36,7 +38,7 @@ func main() {
 		})
 
 		start := time.Now()
-		_, err := coherence.Solve(context.Background(), exec, 0, &coherence.Options{MaxStates: budget})
+		_, err := search.SolveAddr(context.Background(), exec, 0)
 		general := time.Since(start)
 		generalNote := fmt.Sprintf("%v", general)
 		if err != nil {

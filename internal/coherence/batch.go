@@ -13,12 +13,12 @@ import (
 // small single-address VMC instances solved with pooled scratch and
 // (near) zero cross-instance allocation. It exists for workloads shaped
 // like memverifyd's cache-miss bursts — many independent litmus-sized
-// traces, each cheap to solve, where a loop over Verifier.Solve spends
+// traces, each cheap to solve, where a loop over Verifier.SolveAddr spends
 // more time on per-call ceremony (double validation, projection maps,
 // scratch and layout construction) than on the solves themselves.
 //
 // What the batch path pools or avoids, per job, relative to a looped
-// Verifier.Solve:
+// Verifier.SolveAddr:
 //
 //   - Validate runs once per distinct *Execution, not once per call;
 //   - jobs over one execution are grouped, and ALL of the group's

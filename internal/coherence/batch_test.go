@@ -29,7 +29,7 @@ func batchJobs(rng *rand.Rand, n int) []BatchJob {
 }
 
 // TestSolveBatchParity: SolveBatch must agree with a loop over
-// Verifier.Solve on verdict, decidedness and algorithm, and its
+// Verifier.SolveAddr on verdict, decidedness and algorithm, and its
 // certificates must check against the original executions.
 func TestSolveBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -41,10 +41,11 @@ func TestSolveBatchParity(t *testing.T) {
 			t.Fatalf("got %d results for %d jobs", len(got), len(jobs))
 		}
 		for i, job := range jobs {
-			want, err := v.Solve(context.Background(), job.Exec, job.Addr)
+			ar, err := v.SolveAddr(context.Background(), job.Exec, job.Addr)
 			if err != nil {
 				t.Fatalf("job %d: looped solve failed: %v", i, err)
 			}
+			want := ar.Result
 			br := &got[i]
 			if br.Err != nil {
 				t.Fatalf("job %d (workers=%d): batch error: %v", i, workers, br.Err)
@@ -79,11 +80,11 @@ func TestSolveBatchExactStrategy(t *testing.T) {
 		if br.Result.Algorithm != "general-search" {
 			t.Fatalf("job %d: exact batch used %q", i, br.Result.Algorithm)
 		}
-		want, err := v.Solve(context.Background(), jobs[i].Exec, jobs[i].Addr)
+		want, err := v.SolveAddr(context.Background(), jobs[i].Exec, jobs[i].Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if br.Result.Coherent != want.Coherent {
+		if br.Result.Coherent != want.Result.Coherent {
 			t.Fatalf("job %d: verdict mismatch", i)
 		}
 	}
@@ -183,7 +184,7 @@ func TestSolveBatchReport(t *testing.T) {
 }
 
 // BenchmarkSolveBatchVsLoop measures the batch driver against a loop of
-// Verifier.Solve over the same jobs — the PR 10 throughput claim in
+// Verifier.SolveAddr over the same jobs — the PR 10 throughput claim in
 // miniature (cmd/bench -psearch measures the full version).
 func BenchmarkSolveBatchVsLoop(b *testing.B) {
 	rng := rand.New(rand.NewSource(61))
@@ -193,7 +194,7 @@ func BenchmarkSolveBatchVsLoop(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, j := range jobs {
-				if _, err := v.Solve(context.Background(), j.Exec, j.Addr); err != nil {
+				if _, err := v.SolveAddr(context.Background(), j.Exec, j.Addr); err != nil {
 					b.Fatal(err)
 				}
 			}

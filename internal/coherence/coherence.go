@@ -33,10 +33,6 @@
 // Verifier.SolveBatch runs the same ladder over many small jobs with
 // pooled scratch.
 //
-// The pre-facade entry points (Solve, SolveAuto, SolveResilient,
-// VerifyExecution and friends) remain as deprecated one-line wrappers in
-// deprecated.go.
-//
 // Every entry point takes a context.Context and honors the unified
 // resource budget of internal/solver: cancellation, the per-address
 // wall-clock Options.Timeout (one deadline shared by every rung), and
@@ -72,10 +68,11 @@ type Stats = solver.Stats
 type Result struct {
 	// Coherent reports whether a coherent schedule exists.
 	Coherent bool
-	// Decided is retained for legacy callers: solvers now report budget
-	// exhaustion as a *solver.ErrBudgetExceeded instead of returning an
-	// undecided result, so any Result returned without error has
-	// Decided == true.
+	// Decided is false only when a StrategyResilient ladder ended
+	// Unknown: no rung could decide (a BatchResult then carries such a
+	// Result; AddrReport uses a nil Result instead). Budget trips under
+	// the other strategies are *solver.ErrBudgetExceeded errors, not
+	// undecided Results.
 	Decided bool
 	// Schedule is a certificate coherent schedule when Coherent is true,
 	// with references into the execution the solver was given.

@@ -77,7 +77,7 @@ func TestCountZeroIffIncoherent(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for i := 0; i < 200; i++ {
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := solveExact(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestDiagnoseMinimality(t *testing.T) {
 	diagnosed := 0
 	for i := 0; i < 200 && diagnosed < 40; i++ {
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := solveExact(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDiagnoseMinimality(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Core is incoherent.
-		coreRes, err := Solve(context.Background(), d.Core, 0, nil)
+		coreRes, err := solveExact(context.Background(), d.Core, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestDiagnoseMinimality(t *testing.T) {
 				shrunk := d.Core.Clone()
 				h := shrunk.Histories[p]
 				shrunk.Histories[p] = append(append(memory.History{}, h[:idx]...), h[idx+1:]...)
-				r, err := Solve(context.Background(), shrunk, 0, nil)
+				r, err := solveExact(context.Background(), shrunk, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,17 +9,17 @@ import (
 )
 
 // The basic workflow: build an execution, ask for a coherent schedule.
-func ExampleSolveAuto() {
+func ExampleVerifier_SolveAddr() {
 	exec := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
-	res, err := coherence.SolveAuto(context.Background(), exec, 0, nil)
+	ar, err := coherence.NewVerifier().SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Coherent)
-	// Output: true
+	fmt.Println(ar.Verdict)
+	// Output: coherent
 }
 
 // The write-order augmentation of §5.2: supply the order in which the

@@ -75,7 +75,7 @@ func TestFastPathOracleWorkload(t *testing.T) {
 				exec = mut
 			}
 		}
-		want, err := SolveAuto(context.Background(), exec, 0, nil)
+		want, err := solveAuto(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatalf("instance %d: oracle: %v", i, err)
 		}
@@ -235,7 +235,7 @@ func TestFastPathAcceptByPruning(t *testing.T) {
 // TestFastPathInconclusiveEscalates: an instance whose write order is
 // not forced (no necessary edges relate the two writers) and whose
 // candidate order fails placement must be INCONCLUSIVE — never a guess
-// — and SolveResilient must escalate past it to the exact search for
+// — and StrategyResilient must escalate past it to the exact search for
 // the real verdict.
 func TestFastPathInconclusiveEscalates(t *testing.T) {
 	exec := memory.NewExecution(
@@ -248,7 +248,7 @@ func TestFastPathInconclusiveEscalates(t *testing.T) {
 		t.Fatalf("verdict = %s (%s), want inconclusive", out.verdict, out.detail)
 	}
 
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, nil)
+	rr, err := resilientVerifier(nil).SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestResilientFastRung(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, nil)
+	rr, err := resilientVerifier(nil).SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestResilientFastRung(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 9)},
 	).SetInitial(0, 0)
-	rr, err = SolveResilient(context.Background(), bad, 0, nil, nil)
+	rr, err = resilientVerifier(nil).SolveAddr(context.Background(), bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +326,11 @@ func TestStrategyFastFacade(t *testing.T) {
 		memory.History{memory.W(0, 2)},
 		memory.History{memory.R(0, 1), memory.R(0, 2), memory.R(0, 1)},
 	).SetInitial(0, 0)
-	r, err := v.Solve(ctx, ambiguous, 0)
+	ar, err = v.SolveAddr(ctx, ambiguous, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Coherent || r.Algorithm == "fastpath" {
+	if r := ar.Result; r.Coherent || r.Algorithm == "fastpath" {
 		t.Errorf("escalation: coherent=%v algorithm=%q, want incoherent from a complete solver", r.Coherent, r.Algorithm)
 	}
 
@@ -366,7 +366,7 @@ func TestFastPathRelayFamily(t *testing.T) {
 	for _, phantom := range []bool{false, true} {
 		exec := workload.GenerateRelay(workload.RelayConfig{Processors: 4, Rounds: 12, Decoys: 4, Phantom: phantom})
 		out := fastOn(t, exec)
-		want, err := SolveAuto(context.Background(), exec, 0, nil)
+		want, err := solveAuto(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

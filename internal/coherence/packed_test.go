@@ -66,7 +66,7 @@ func TestPackedLayoutOverflow(t *testing.T) {
 		t.Fatal("oversized instance accepted by the packed layout")
 	}
 	// The fallback must still solve it (budgeted: the instance is huge).
-	_, err := Solve(context.Background(), exec, 0, solver.New(solver.WithMaxStates(2000)))
+	_, err := solveExact(context.Background(), exec, 0, solver.New(solver.WithMaxStates(2000)))
 	if err != nil {
 		if _, ok := solver.AsBudgetError(err); !ok {
 			t.Fatalf("fallback solve failed: %v", err)
@@ -141,11 +141,11 @@ func TestPackedMemoOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 400; trial++ {
 		exec := randomInstance(rng)
-		packed, err := Solve(ctx, exec, 0, nil)
+		packed, err := solveExact(ctx, exec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		str, err := Solve(ctx, exec, 0, solver.New(solver.WithoutPackedMemo()))
+		str, err := solveExact(ctx, exec, 0, solver.New(solver.WithoutPackedMemo()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,11 +180,11 @@ func TestPackedMemoOracleAblations(t *testing.T) {
 			rng := rand.New(rand.NewSource(44))
 			for trial := 0; trial < 150; trial++ {
 				exec := randomInstance(rng)
-				packed, err := Solve(ctx, exec, 0, solver.New(ab.opt))
+				packed, err := solveExact(ctx, exec, 0, solver.New(ab.opt))
 				if err != nil {
 					t.Fatal(err)
 				}
-				str, err := Solve(ctx, exec, 0, solver.New(ab.opt, solver.WithoutPackedMemo()))
+				str, err := solveExact(ctx, exec, 0, solver.New(ab.opt, solver.WithoutPackedMemo()))
 				if err != nil {
 					t.Fatal(err)
 				}

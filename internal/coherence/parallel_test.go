@@ -3,6 +3,7 @@ package coherence
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"memverify/internal/memory"
@@ -34,24 +35,29 @@ func multiAddressInstance(rng *rand.Rand, naddr int) *memory.Execution {
 	return exec
 }
 
+// verifyWorkers runs Verify across workers goroutines under opts.
+func verifyWorkers(exec *memory.Execution, opts *Options, workers int) (*Report, error) {
+	return NewVerifier(solver.WithWorkers(workers), solver.WithOptions(opts)).Verify(context.Background(), exec)
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for i := 0; i < 50; i++ {
 		exec := multiAddressInstance(rng, 1+rng.Intn(6))
-		serial, err := VerifyExecution(context.Background(), exec, nil)
+		serial, err := NewVerifier().Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 2, 8} {
-			par, err := VerifyExecutionParallel(context.Background(), exec, nil, workers)
+		for _, workers := range []int{runtime.NumCPU(), 1, 2, 8} {
+			par, err := verifyWorkers(exec, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(par) != len(serial) {
-				t.Fatalf("instance %d workers %d: %d results, want %d", i, workers, len(par), len(serial))
+			if len(par.Addrs) != len(serial.Addrs) {
+				t.Fatalf("instance %d workers %d: %d results, want %d", i, workers, len(par.Addrs), len(serial.Addrs))
 			}
-			for a, want := range serial {
-				got := par[a]
+			for j := range serial.Addrs {
+				a, got, want := serial.Addrs[j].Addr, par.Addrs[j].Result, serial.Addrs[j].Result
 				if got == nil || got.Coherent != want.Coherent || got.Decided != want.Decided {
 					t.Fatalf("instance %d workers %d addr %d: got %+v want %+v", i, workers, a, got, want)
 				}
@@ -67,12 +73,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelDeterministicUnderBudget is the regression test for the
 // old unordered-channel fan-out: when several addresses blow the state
-// budget, the reported error (and the partial result map) used to
+// budget, the reported error (and the partial report) used to
 // depend on goroutine scheduling. Now the error is always the one for
 // the lowest-indexed failing address, and earlier successes survive in
-// the partial map, regardless of worker count or run.
+// the partial report, regardless of worker count or run.
 func TestParallelDeterministicUnderBudget(t *testing.T) {
-	// Address 0 has unique write values, so SolveAuto dispatches it to
+	// Address 0 has unique write values, so the auto strategy dispatches it to
 	// the polynomial read-map algorithm, which ignores the state budget.
 	// Addresses 1 and 2 duplicate a write value and need the general
 	// search, which trips MaxStates: 1 immediately.
@@ -84,7 +90,7 @@ func TestParallelDeterministicUnderBudget(t *testing.T) {
 
 	for rep := 0; rep < 30; rep++ {
 		for _, workers := range []int{2, 3, 8} {
-			partial, err := VerifyExecutionParallel(context.Background(), exec, opts, workers)
+			partial, err := verifyWorkers(exec, opts, workers)
 			if err == nil {
 				t.Fatalf("rep %d workers %d: budget of 1 state did not trip", rep, workers)
 			}
@@ -96,11 +102,8 @@ func TestParallelDeterministicUnderBudget(t *testing.T) {
 				t.Fatalf("rep %d workers %d: error for address %d (hasAddr=%v), want the lowest failing address 1",
 					rep, workers, be.Addr, be.HasAddr)
 			}
-			if res := partial[0]; res == nil || !res.Coherent {
-				t.Fatalf("rep %d workers %d: address 0 success missing from partial map: %+v", rep, workers, partial)
-			}
-			if len(partial) != 1 {
-				t.Fatalf("rep %d workers %d: partial map %v, want only address 0", rep, workers, partial)
+			if len(partial.Addrs) != 1 || partial.Addrs[0].Addr != 0 || partial.Addrs[0].Verdict != VerdictCoherent {
+				t.Fatalf("rep %d workers %d: partial report %+v, want only address 0, coherent", rep, workers, partial.Addrs)
 			}
 		}
 	}
@@ -108,18 +111,18 @@ func TestParallelDeterministicUnderBudget(t *testing.T) {
 
 func TestParallelPropagatesErrors(t *testing.T) {
 	bad := memory.NewExecution(memory.History{{Kind: memory.Kind(99), Addr: 0}})
-	if _, err := VerifyExecutionParallel(context.Background(), bad, nil, 4); err == nil {
+	if _, err := verifyWorkers(bad, nil, 4); err == nil {
 		t.Error("invalid execution accepted")
 	}
 }
 
 func TestParallelEmptyExecution(t *testing.T) {
-	res, err := VerifyExecutionParallel(context.Background(), memory.NewExecution(), nil, 4)
+	rep, err := verifyWorkers(memory.NewExecution(), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 0 {
-		t.Errorf("results for addressless execution: %v", res)
+	if len(rep.Addrs) != 0 || !rep.Coherent() {
+		t.Errorf("report for addressless execution: %+v", rep)
 	}
 }
 
@@ -174,21 +177,21 @@ func TestParallelLoadBalanceDeterministic(t *testing.T) {
 			}
 		}
 	}
-	serial, err := VerifyExecution(context.Background(), exec, nil)
+	serial, err := NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 10; rep++ {
 		for _, workers := range []int{2, 3, 5, 8} {
-			par, err := VerifyExecutionParallel(context.Background(), exec, nil, workers)
+			par, err := verifyWorkers(exec, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(par) != len(serial) {
-				t.Fatalf("rep %d workers %d: %d results, want %d", rep, workers, len(par), len(serial))
+			if len(par.Addrs) != len(serial.Addrs) {
+				t.Fatalf("rep %d workers %d: %d results, want %d", rep, workers, len(par.Addrs), len(serial.Addrs))
 			}
-			for a, want := range serial {
-				got := par[a]
+			for j := range serial.Addrs {
+				a, got, want := serial.Addrs[j].Addr, par.Addrs[j].Result, serial.Addrs[j].Result
 				if got == nil || got.Coherent != want.Coherent {
 					t.Fatalf("rep %d workers %d addr %d: got %+v want %+v", rep, workers, a, got, want)
 				}

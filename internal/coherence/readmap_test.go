@@ -60,13 +60,13 @@ func TestReadMapAmbiguousInitial(t *testing.T) {
 	if _, err := SolveReadMap(context.Background(), exec, 0); err == nil {
 		t.Error("ambiguous initial-value instance accepted")
 	}
-	// SolveAuto must still answer, via the general solver.
-	res, err := SolveAuto(context.Background(), exec, 0, nil)
+	// The auto strategy must still answer, via the general solver.
+	res, err := solveAuto(context.Background(), exec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Coherent {
-		t.Error("SolveAuto failed on the ambiguous corner")
+		t.Error("auto strategy failed on the ambiguous corner")
 	}
 }
 
@@ -81,14 +81,14 @@ func TestReadMapUnboundInitialAmbiguity(t *testing.T) {
 	if _, err := SolveReadMap(context.Background(), exec, 0); err == nil {
 		t.Error("unbound-initial ambiguity not detected")
 	}
-	// The instance is genuinely coherent via initial binding; SolveAuto
+	// The instance is genuinely coherent via initial binding; the auto strategy
 	// must find it.
-	res, err := SolveAuto(context.Background(), exec, 0, nil)
+	res, err := solveAuto(context.Background(), exec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Coherent {
-		t.Error("SolveAuto missed the initial-binding schedule")
+		t.Error("auto strategy missed the initial-binding schedule")
 	}
 }
 
@@ -230,7 +230,7 @@ func TestReadMapMatchesOracle(t *testing.T) {
 		exec := uniqueWriteInstance(rng)
 		res, err := SolveReadMap(context.Background(), exec, 0)
 		if err != nil {
-			continue // ambiguous corner; SolveAuto covers it elsewhere
+			continue // ambiguous corner; the auto strategy covers it elsewhere
 		}
 		checked++
 		want, _ := bruteForceCoherent(exec, 0)

@@ -88,27 +88,6 @@ func (v ResilientVerdict) String() string {
 	return fmt.Sprintf("ResilientVerdict(%d)", int(v))
 }
 
-// ResilientResult is the legacy shape of a StrategyResilient solve
-// (see AddrReport.Resilient).
-type ResilientResult struct {
-	// Verdict is the three-valued answer.
-	Verdict ResilientVerdict
-	// Rung is the ladder rung that produced the verdict (RungNecessary
-	// with VerdictUnknown when nothing could decide).
-	Rung Rung
-	// Result is the deciding solver's result (certificate, algorithm);
-	// nil when the verdict is Unknown.
-	Result *Result
-	// Stats aggregates the work of every rung tried, including the
-	// partial stats of an exhausted exact search; Stats.Rung records
-	// the final rung.
-	Stats Stats
-	// Checks lists the necessary-condition outcomes when the ladder
-	// reached RungNecessary — the evidence behind an Unknown verdict, or
-	// the violated condition behind an Incoherent one.
-	Checks []string
-}
-
 // maxEnumWrites bounds the write count for exhaustive write-order
 // enumeration at RungSpecialist. The number of orders is the number of
 // interleavings of the per-process write sequences, at most w! (40320

@@ -48,10 +48,17 @@ func writeHeavyExecution(seed int64, nproc, nops, nvals int) *memory.Execution {
 // coherence: the canonical Unknown case.
 func manyWriteExecution() *memory.Execution { return writeHeavyExecution(7, 4, 48, 3) }
 
+// resilientVerifier builds a StrategyResilient verifier with per-solve
+// options opts (nil for none) and any further configuration.
+func resilientVerifier(opts *Options, cfg ...solver.ConfigOption) *Verifier {
+	return NewVerifier(append([]solver.ConfigOption{
+		solver.WithStrategy(solver.StrategyResilient), solver.WithOptions(opts)}, cfg...)...)
+}
+
 // TestResilientExactRung: when the fast path is inconclusive, the next
 // rungs decide within budget at RungExact.
 func TestResilientExactRung(t *testing.T) {
-	rr, err := SolveResilient(context.Background(), ambiguousGadget(), 0, nil, nil)
+	rr, err := resilientVerifier(nil).SolveAddr(context.Background(), ambiguousGadget(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func TestResilientSpecialistDecides(t *testing.T) {
 	// incoherent, and no Figure 5.3 row applies.
 	bad := ambiguousGadget()
 	bad.Histories = append(bad.Histories, memory.History{memory.W(0, 3)}, memory.History{memory.W(0, 3)})
-	rr, err := SolveResilient(context.Background(), bad, 0, nil, opts)
+	rr, err := resilientVerifier(opts).SolveAddr(context.Background(), bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +94,7 @@ func TestResilientSpecialistDecides(t *testing.T) {
 
 	// Coherent case, certificate checked: 8 writes.
 	exec := writeHeavyExecution(0, 3, 14, 2)
-	rr, err = SolveResilient(context.Background(), exec, 0, nil, opts)
+	rr, err = resilientVerifier(opts).SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestResilientSpecialistDecides(t *testing.T) {
 // the rung recorded in Stats — not an error.
 func TestResilientUnknown(t *testing.T) {
 	exec := manyWriteExecution()
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, solver.New(solver.WithMaxStates(10)))
+	rr, err := resilientVerifier(solver.New(solver.WithMaxStates(10))).SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestResilientNecessaryRefutes(t *testing.T) {
 	exec.Histories[1] = append(exec.Histories[1], memory.W(0, 100))
 	exec.Histories[2] = append(exec.Histories[2], memory.W(0, 101))
 	exec.Histories[3] = append(exec.Histories[3], memory.R(0, 100), memory.R(0, 101), memory.R(0, 100))
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, solver.New(solver.WithMaxStates(10)))
+	rr, err := resilientVerifier(solver.New(solver.WithMaxStates(10))).SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestResilientNecessaryRefutes(t *testing.T) {
 func TestResilientWriteOrderHint(t *testing.T) {
 	exec := manyWriteExecution()
 	// Derive a valid write order from an unbudgeted solve's certificate.
-	fresh, err := SolveAuto(context.Background(), exec, 0, nil)
+	fresh, err := solveAuto(context.Background(), exec, 0, nil)
 	if err != nil || !fresh.Coherent {
 		t.Fatalf("baseline solve: %v, %+v", err, fresh)
 	}
@@ -169,7 +176,9 @@ func TestResilientWriteOrderHint(t *testing.T) {
 			order = append(order, r)
 		}
 	}
-	rr, err := SolveResilient(context.Background(), exec, 0, order, solver.New(solver.WithMaxStates(2)))
+	hinted := resilientVerifier(solver.New(solver.WithMaxStates(2)),
+		solver.WithWriteOrders(map[memory.Addr][]memory.Ref{0: order}))
+	rr, err := hinted.SolveAddr(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +195,14 @@ func TestResilientWriteOrderHint(t *testing.T) {
 func TestResilientCancelPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SolveResilient(ctx, manyWriteExecution(), 0, nil, nil)
+	_, err := resilientVerifier(nil).SolveAddr(ctx, manyWriteExecution(), 0)
 	be, ok := solver.AsBudgetError(err)
 	if !ok || be.Reason != solver.Canceled {
 		t.Fatalf("err = %v, want Canceled budget error", err)
 	}
 }
 
-// TestVerifyExecutionResilient: budget exhaustion on one address must
+// TestVerifyExecutionResilient: under StrategyResilient, budget exhaustion on one address must
 // not abort the loop — every address gets a verdict (possibly Unknown).
 func TestVerifyExecutionResilient(t *testing.T) {
 	hard := manyWriteExecution()
@@ -205,17 +214,24 @@ func TestVerifyExecutionResilient(t *testing.T) {
 	exec.Histories[1] = append(memory.History{memory.R(1, 5)}, exec.Histories[1]...)
 	exec.SetInitial(1, 0)
 
-	out, err := VerifyExecutionResilient(context.Background(), exec, nil, solver.New(solver.WithMaxStates(10)))
+	rep, err := resilientVerifier(solver.New(solver.WithMaxStates(10))).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("results for %d addresses, want 2", len(out))
+	if len(rep.Addrs) != 2 {
+		t.Fatalf("reports for %d addresses, want 2", len(rep.Addrs))
 	}
-	if out[1].Verdict != VerdictCoherent {
-		t.Errorf("trivial address verdict = %s", out[1].Verdict)
+	if rep.Addrs[1].Verdict != VerdictCoherent {
+		t.Errorf("trivial address verdict = %s", rep.Addrs[1].Verdict)
 	}
-	if out[0].Verdict != VerdictUnknown {
-		t.Errorf("hard address verdict = %s, want unknown", out[0].Verdict)
+	if rep.Addrs[0].Verdict != VerdictUnknown {
+		t.Errorf("hard address verdict = %s, want unknown", rep.Addrs[0].Verdict)
+	}
+	// Unknown is not a violation.
+	if rep.Verdict != VerdictUnknown {
+		t.Errorf("report verdict = %s, want unknown", rep.Verdict)
+	}
+	if a, bad := rep.FirstViolation(); bad {
+		t.Errorf("FirstViolation = %d for an Unknown-only report", a)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"memverify/internal/memory"
 	"memverify/internal/obs"
+	"memverify/internal/solver"
 )
 
 // statsEqual compares two Stats ignoring wall-clock Duration (the only
@@ -40,20 +41,20 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 20; i++ {
 		exec := multiAddressInstance(rng, 2+rng.Intn(4))
-		serial, err := VerifyExecution(context.Background(), exec, nil)
+		serial, err := NewVerifier().Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := VerifyExecutionParallel(context.Background(), exec, nil, 4)
+		par, err := verifyWorkers(exec, nil, 4)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(par.Addrs) != len(serial.Addrs) {
+			t.Fatalf("instance %d: %d parallel reports, want %d", i, len(par.Addrs), len(serial.Addrs))
 		}
 		var sumSerial, sumPar Stats
-		for a, want := range serial {
-			got := par[a]
-			if got == nil {
-				t.Fatalf("instance %d: no parallel result for address %d", i, a)
-			}
+		for j := range serial.Addrs {
+			a, got, want := serial.Addrs[j].Addr, par.Addrs[j].Result, serial.Addrs[j].Result
 			if !statsEqual(got.Stats, want.Stats) {
 				t.Fatalf("instance %d addr %d: parallel stats %+v != serial %+v",
 					i, a, got.Stats, want.Stats)
@@ -76,12 +77,13 @@ func TestParallelMetricsAggregation(t *testing.T) {
 	exec := generalSearchExec(3)
 	m := obs.NewMetrics()
 	ctx := obs.With(context.Background(), &obs.Observer{Metrics: m})
-	par, err := VerifyExecutionParallel(ctx, exec, nil, 3)
+	par, err := NewVerifier(solver.WithWorkers(3)).Verify(ctx, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum Stats
-	for _, r := range par {
+	for _, ar := range par.Addrs {
+		r := ar.Result
 		if r.Algorithm != "general-search" {
 			t.Fatalf("algorithm = %q, want general-search (the test's premise)", r.Algorithm)
 		}

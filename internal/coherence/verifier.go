@@ -16,11 +16,10 @@ import (
 // procedure in this package: each address it checks climbs the
 // escalation ladder (ladder.go) as far as the configured strategy
 // allows. One Verifier, configured once with the functional options of
-// internal/solver, replaces the pre-facade sprawl of entry points
-// (Solve, SolveAuto, SolveResilient, VerifyExecution,
-// VerifyExecutionParallel, VerifyExecutionResilient,
-// VerifyExecutionCheckpoint) — those remain as deprecated one-line
-// wrappers over this type.
+// internal/solver, serves every policy: SolveAddr decides one address,
+// Verify (sequential, parallel or checkpointed) a whole execution,
+// VerifyCheckpoint resumes explicitly, and SolveBatch runs many small
+// jobs.
 //
 //	v := coherence.NewVerifier(
 //	        solver.WithStrategy(solver.StrategyFast),
@@ -38,7 +37,7 @@ type Verifier struct {
 
 // NewVerifier builds a Verifier from functional options. With no
 // options it verifies sequentially with StrategyAuto and no resource
-// bound — the semantics of the old VerifyExecution.
+// bound.
 func NewVerifier(opts ...solver.ConfigOption) *Verifier {
 	return &Verifier{cfg: solver.NewConfig(opts...)}
 }
@@ -67,17 +66,6 @@ type AddrReport struct {
 	// Checks lists the necessary-condition outcomes when the resilient
 	// ladder reached its last rung.
 	Checks []string
-}
-
-// Resilient converts the report to the legacy ResilientResult shape.
-func (ar *AddrReport) Resilient() *ResilientResult {
-	return &ResilientResult{
-		Verdict: ar.Verdict,
-		Rung:    ar.Rung,
-		Result:  ar.Result,
-		Stats:   ar.Stats,
-		Checks:  ar.Checks,
-	}
 }
 
 // addrReportFromResult wraps a decided two-valued result.
@@ -129,46 +117,15 @@ func (r *Report) finalize() {
 // Coherent reports whether every address was proven coherent.
 func (r *Report) Coherent() bool { return r.Verdict == VerdictCoherent }
 
-// Results returns the decided per-address results as the map shape the
-// legacy VerifyExecution* entry points returned. Addresses whose
-// resilient verdict is Unknown are absent.
-func (r *Report) Results() map[memory.Addr]*Result {
-	out := make(map[memory.Addr]*Result, len(r.Addrs))
-	for i := range r.Addrs {
-		if res := r.Addrs[i].Result; res != nil {
-			out[r.Addrs[i].Addr] = res
-		}
-	}
-	return out
-}
-
-// FirstViolation returns the lowest address whose verdict is not
-// Coherent, in address order (ok=false when all addresses are coherent).
+// FirstViolation returns the lowest address proven Incoherent (ok=false
+// when none is; an Unknown address is not a violation).
 func (r *Report) FirstViolation() (memory.Addr, bool) {
 	for i := range r.Addrs {
-		if r.Addrs[i].Verdict != VerdictCoherent {
+		if r.Addrs[i].Verdict == VerdictIncoherent {
 			return r.Addrs[i].Addr, true
 		}
 	}
 	return 0, false
-}
-
-// Solve decides VMC for a single address under the configured strategy
-// and budget. For the always-deciding strategies the returned Result is
-// never nil on a nil error; under StrategyResilient an Unknown ladder
-// outcome is reported as a Result with Decided == false (use SolveAddr
-// for the full three-valued report).
-func (v *Verifier) Solve(ctx context.Context, exec *memory.Execution, addr memory.Addr) (*Result, error) {
-	ar, err := v.SolveAddr(ctx, exec, addr)
-	if err != nil {
-		return nil, err
-	}
-	if ar.Result != nil {
-		return ar.Result, nil
-	}
-	// Resilient ladder exhausted without an answer: surface the legacy
-	// undecided shape rather than inventing a verdict.
-	return &Result{Coherent: false, Decided: false, Algorithm: "resilient-unknown", Stats: ar.Stats}, nil
 }
 
 // SolveAddr decides VMC for a single address under the configured
@@ -202,12 +159,12 @@ func (v *Verifier) solveAddrOpts(ctx context.Context, exec *memory.Execution, ad
 // Verify checks every address of the execution under the configured
 // strategy, budget and parallelism.
 //
-// Error semantics follow the strategy, preserving the legacy entry
-// points' contracts: the exact strategies abort on the first per-address
-// budget trip (in address order — deterministic even with workers),
-// returning the partial Report alongside the *solver.ErrBudgetExceeded;
-// StrategyResilient degrades the affected address and continues, so its
-// Report always covers every address unless the context is cancelled.
+// Error semantics follow the strategy: the exact strategies abort on
+// the first per-address budget trip (in address order — deterministic
+// even with workers), returning the partial Report alongside the
+// *solver.ErrBudgetExceeded; StrategyResilient degrades the affected
+// address and continues, so its Report always covers every address
+// unless the context is cancelled.
 // With solver.WithCheckpoint configured, verification is sequential,
 // resumes from the checkpoint file when it exists, and re-writes it on a
 // budget abort.

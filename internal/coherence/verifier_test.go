@@ -73,122 +73,75 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestFacadeWrapperParity pins every deprecated entry point to the
-// facade: on randomized trials, wrapper and facade must return identical
-// verdicts, schedules and (deterministic) stats.
-func TestFacadeWrapperParity(t *testing.T) {
-	ctx := context.Background()
-	for n, tc := range parityTraces(t, 24) {
-		exec := tc.exec
-		for _, addr := range exec.Addresses() {
-			// Solve / StrategyExact.
-			wr, werr := Solve(ctx, exec, addr, nil)
-			fr, ferr := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, exec, addr)
-			if (werr == nil) != (ferr == nil) {
-				t.Fatalf("trial %d addr %d: Solve error mismatch: %v vs %v", n, addr, werr, ferr)
-			}
-			sameResult(t, "Solve", wr, fr)
+// solveExact decides one address with the exact search alone.
+func solveExact(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
+	return solveWith(ctx, exec, addr, solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts))
+}
 
-			// SolveAuto / default strategy.
-			wr, werr = SolveAuto(ctx, exec, addr, nil)
-			fr, ferr = NewVerifier().Solve(ctx, exec, addr)
-			if (werr == nil) != (ferr == nil) {
-				t.Fatalf("trial %d addr %d: SolveAuto error mismatch: %v vs %v", n, addr, werr, ferr)
-			}
-			sameResult(t, "SolveAuto", wr, fr)
+// solveAuto decides one address under the default strategy.
+func solveAuto(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
+	return solveWith(ctx, exec, addr, solver.WithOptions(opts))
+}
 
-			// SolveResilient / StrategyResilient + write orders.
-			worder := tc.orders[addr]
-			rr, werr := SolveResilient(ctx, exec, addr, worder, nil)
-			far, ferr := NewVerifier(solver.WithStrategy(solver.StrategyResilient),
-				solver.WithWriteOrders(tc.orders)).SolveAddr(ctx, exec, addr)
-			if werr != nil || ferr != nil {
-				t.Fatalf("trial %d addr %d: resilient errors: %v / %v", n, addr, werr, ferr)
-			}
-			if rr.Verdict != far.Verdict || rr.Rung != far.Rung {
-				t.Errorf("trial %d addr %d: resilient mismatch: (%v,%v) vs (%v,%v)",
-					n, addr, rr.Verdict, rr.Rung, far.Verdict, far.Rung)
-			}
-			sameResult(t, "SolveResilient", rr.Result, far.Result)
-		}
+// solveWith runs SolveAddr under cfg and returns the deciding Result.
+func solveWith(ctx context.Context, exec *memory.Execution, addr memory.Addr, cfg ...solver.ConfigOption) (*Result, error) {
+	ar, err := NewVerifier(cfg...).SolveAddr(ctx, exec, addr)
+	if err != nil {
+		return nil, err
+	}
+	return ar.Result, nil
+}
 
-		// VerifyExecution / facade Verify.
-		wm, werr := VerifyExecution(ctx, exec, nil)
-		rep, ferr := NewVerifier().Verify(ctx, exec)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: VerifyExecution errors: %v / %v", n, werr, ferr)
+// sameReport pins two reports to identical per-address verdicts,
+// schedules and deterministic stats.
+func sameReport(t *testing.T, label string, a, b *Report) {
+	t.Helper()
+	if a.Verdict != b.Verdict || len(a.Addrs) != len(b.Addrs) {
+		t.Fatalf("%s: report mismatch: %v/%d vs %v/%d", label, a.Verdict, len(a.Addrs), b.Verdict, len(b.Addrs))
+	}
+	for i := range a.Addrs {
+		x, y := &a.Addrs[i], &b.Addrs[i]
+		if x.Addr != y.Addr || x.Verdict != y.Verdict || x.Rung != y.Rung {
+			t.Errorf("%s: addr %d: (%v,%v) vs addr %d: (%v,%v)", label, x.Addr, x.Verdict, x.Rung, y.Addr, y.Verdict, y.Rung)
 		}
-		fm := rep.Results()
-		if len(wm) != len(fm) {
-			t.Fatalf("trial %d: result map sizes differ: %d vs %d", n, len(wm), len(fm))
-		}
-		for a, r := range wm {
-			sameResult(t, "VerifyExecution", r, fm[a])
-		}
-
-		// VerifyExecutionParallel / WithWorkers.
-		pm, werr := VerifyExecutionParallel(ctx, exec, nil, 4)
-		prep, ferr := NewVerifier(solver.WithWorkers(4)).Verify(ctx, exec)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: parallel errors: %v / %v", n, werr, ferr)
-		}
-		for a, r := range pm {
-			sameResult(t, "VerifyExecutionParallel", r, prep.Results()[a])
-		}
-		// Parallel and sequential agree too.
-		for a, r := range wm {
-			sameResult(t, "parallel-vs-sequential", r, pm[a])
-		}
-
-		// Coherent / Report.FirstViolation.
-		ok, bad, err := Coherent(ctx, exec, nil)
-		if err != nil {
-			t.Fatalf("trial %d: Coherent: %v", n, err)
-		}
-		if ok != rep.Coherent() {
-			t.Errorf("trial %d: Coherent=%v but report verdict %v", n, ok, rep.Verdict)
-		}
-		if fa, violated := rep.FirstViolation(); violated != !ok || (violated && fa != bad) {
-			t.Errorf("trial %d: FirstViolation (%v,%v) vs Coherent (%v,%v)", n, fa, violated, bad, ok)
-		}
-
-		// VerifyExecutionResilient / resilient Verify.
-		rm, werr := VerifyExecutionResilient(ctx, exec, tc.orders, nil)
-		rrep, ferr := NewVerifier(solver.WithStrategy(solver.StrategyResilient),
-			solver.WithWriteOrders(tc.orders)).Verify(ctx, exec)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: resilient verify errors: %v / %v", n, werr, ferr)
-		}
-		for i := range rrep.Addrs {
-			ar := &rrep.Addrs[i]
-			wr := rm[ar.Addr]
-			if wr == nil || wr.Verdict != ar.Verdict {
-				t.Errorf("trial %d addr %d: resilient verify mismatch", n, ar.Addr)
-			}
-		}
+		sameResult(t, label, x.Result, y.Result)
 	}
 }
 
-// TestFacadeCheckpointParity pins VerifyExecutionCheckpoint to the
-// facade's VerifyCheckpoint on a fresh (non-resumed) run.
-func TestFacadeCheckpointParity(t *testing.T) {
+// TestVerifyWorkersAgree: on randomized trials, parallel Verify (4
+// workers) returns exactly what sequential Verify does.
+func TestVerifyWorkersAgree(t *testing.T) {
 	ctx := context.Background()
-	for n, tc := range parityTraces(t, 6) {
-		wm, wck, werr := VerifyExecutionCheckpoint(ctx, tc.exec, nil, nil)
-		rep, ferr := NewVerifier().VerifyCheckpoint(ctx, tc.exec, nil)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: checkpoint errors: %v / %v", n, werr, ferr)
+	for n, tc := range parityTraces(t, 24) {
+		seq, err := NewVerifier().Verify(ctx, tc.exec)
+		if err != nil {
+			t.Fatalf("trial %d: %v", n, err)
 		}
-		if wck != nil || rep.Checkpoint != nil {
+		par, err := NewVerifier(solver.WithWorkers(4)).Verify(ctx, tc.exec)
+		if err != nil {
+			t.Fatalf("trial %d: parallel: %v", n, err)
+		}
+		sameReport(t, "parallel-vs-sequential", seq, par)
+	}
+}
+
+// TestVerifyCheckpointAgrees: on randomized trials, a fresh
+// VerifyCheckpoint returns exactly what sequential Verify does.
+func TestVerifyCheckpointAgrees(t *testing.T) {
+	ctx := context.Background()
+	for n, tc := range parityTraces(t, 24) {
+		seq, err := NewVerifier().Verify(ctx, tc.exec)
+		if err != nil {
+			t.Fatalf("trial %d: %v", n, err)
+		}
+		ck, err := NewVerifier().VerifyCheckpoint(ctx, tc.exec, nil)
+		if err != nil {
+			t.Fatalf("trial %d: checkpoint: %v", n, err)
+		}
+		if ck.Checkpoint != nil {
 			t.Fatalf("trial %d: unexpected checkpoint on unbudgeted run", n)
 		}
-		fm := rep.Results()
-		if len(wm) != len(fm) {
-			t.Fatalf("trial %d: map sizes differ", n)
-		}
-		for a, r := range wm {
-			sameResult(t, "VerifyExecutionCheckpoint", r, fm[a])
-		}
+		sameReport(t, "checkpoint-vs-sequential", seq, ck)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestWriteOrderConsistentWithGeneralSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 300; i++ {
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := solveExact(context.Background(), exec, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

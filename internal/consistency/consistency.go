@@ -33,11 +33,9 @@
 // Every verification takes a context.Context and shares the resource
 // budget machinery of internal/solver with the coherence package:
 // cancellation, Options.Timeout and Options.MaxStates all abort a solve
-// with a *solver.ErrBudgetExceeded carrying the partial Stats.
-//
-// The pre-facade entry points (Verify, SolveVSC, SolveVSCC,
-// SolveVSCWithWriteOrders, VerifyTSO, VerifyPSO, VerifyLRC) remain as
-// deprecated wrappers in deprecated.go.
+// with a *solver.ErrBudgetExceeded carrying the partial Stats. The
+// per-address models under StrategyResilient instead report a ladder
+// that ends Unknown as an undecided Result (Decided == false).
 package consistency
 
 import (
@@ -130,10 +128,11 @@ type Stats = solver.Stats
 type Result struct {
 	// Consistent reports whether the execution adheres to the model.
 	Consistent bool
-	// Decided is retained for legacy callers: verifiers now report
-	// budget exhaustion as a *solver.ErrBudgetExceeded instead of
-	// returning an undecided result, so any Result returned without
-	// error has Decided == true.
+	// Decided is false when the per-address coherence ladder behind
+	// CoherenceOnly, LRC or the VSCC promise ended Unknown (possible
+	// only under StrategyResilient); Consistent is then false too.
+	// Budget trips otherwise surface as *solver.ErrBudgetExceeded
+	// errors, never as undecided Results.
 	Decided bool
 	// Schedule is a witness sequentially consistent schedule, when the
 	// model admits one (SC, VSCC, merge). Relaxed-model verifiers return

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"memverify/internal/coherence"
 	"memverify/internal/memory"
-	"memverify/internal/solver"
 )
 
 // SynchronizationDiscipline describes how thoroughly an execution uses
@@ -78,24 +76,16 @@ func CheckDiscipline(exec *memory.Execution) SynchronizationDiscipline {
 // Executions that are not fully synchronized are rejected with an error:
 // LRC places no useful constraint on unsynchronized accesses, so neither
 // acceptance nor rejection would be meaningful.
-func verifyLRC(ctx context.Context, exec *memory.Execution, opts *Options) (*Result, error) {
+func (v *Verifier) verifyLRC(ctx context.Context, exec *memory.Execution) (*Result, error) {
 	if err := exec.Validate(); err != nil {
 		return nil, err
 	}
 	if d := CheckDiscipline(exec); d != FullySynchronized {
 		return nil, fmt.Errorf("consistency: execution is %s; LRC verification requires the fully synchronized discipline of Figure 6.1", d)
 	}
-	rep, err := coherence.NewVerifier(solver.WithOptions(opts)).Verify(ctx, exec)
+	rep, err := v.coherenceVerifier().Verify(ctx, exec)
 	if err != nil {
 		return nil, err
 	}
-	results := rep.Results()
-	res := &Result{Consistent: true, Decided: true, Algorithm: "lrc-synchronized"}
-	for _, r := range results {
-		if !r.Coherent {
-			res.Consistent = false
-		}
-		res.Stats.Merge(r.Stats)
-	}
-	return res, nil
+	return fromCoherence(rep, "lrc-synchronized"), nil
 }

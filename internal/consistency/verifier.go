@@ -68,10 +68,9 @@ func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Consistent: rep.Coherent(), Decided: true, Algorithm: "per-address-coherence", Stats: rep.Stats}
-		return res, nil
+		return fromCoherence(rep, "per-address-coherence"), nil
 	case LRC:
-		return verifyLRC(ctx, exec, opts)
+		return v.verifyLRC(ctx, exec)
 	case VSCC:
 		return v.solveVSCC(ctx, exec)
 	default:
@@ -79,11 +78,24 @@ func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Result,
 	}
 }
 
+// fromCoherence maps a per-address coherence report onto a consistency
+// Result: Incoherent refutes, Unknown (a resilient ladder that ran out
+// of rungs) leaves the answer undecided, Coherent confirms.
+func fromCoherence(rep *coherence.Report, algorithm string) *Result {
+	return &Result{
+		Consistent: rep.Verdict == coherence.VerdictCoherent,
+		Decided:    rep.Verdict != coherence.VerdictUnknown,
+		Algorithm:  algorithm,
+		Stats:      rep.Stats,
+	}
+}
+
 // solveVSCC decides the Verifying Sequential Consistency with Coherence
 // promise problem (Definition 6.2). It first checks the promise — a
-// coherent schedule exists for each address — and returns an error if the
-// promise does not hold (the problem is then undefined). It then decides
-// VSC. Per §6.3 this second step remains NP-Complete even though the
+// coherent schedule exists for each address — and returns an error if
+// some address is proven incoherent (the problem is then undefined). An
+// undecided promise yields an undecided Result. Otherwise it decides
+// VSC; per §6.3 this second step remains NP-Complete even though the
 // promise holds.
 func (v *Verifier) solveVSCC(ctx context.Context, exec *memory.Execution) (*Result, error) {
 	rep, err := v.coherenceVerifier().Verify(ctx, exec)
@@ -92,6 +104,9 @@ func (v *Verifier) solveVSCC(ctx context.Context, exec *memory.Execution) (*Resu
 	}
 	if bad, violated := rep.FirstViolation(); violated {
 		return nil, fmt.Errorf("consistency: VSCC promise violated: address %d has no coherent schedule", bad)
+	}
+	if rep.Verdict == coherence.VerdictUnknown {
+		return fromCoherence(rep, "vscc"), nil
 	}
 	res, err := solveVSC(ctx, exec, v.cfg.Options)
 	if err != nil {

@@ -75,7 +75,7 @@ func runVMCReduction(ctx context.Context, cfg Config, kind reductionKind, sizes 
 				restriction = msg
 			}
 			start := time.Now()
-			res, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil)
+			res, err := solveExact(ctx, inst.Exec, inst.Addr, nil)
 			total += time.Since(start)
 			if err != nil {
 				return nil, err
@@ -200,7 +200,7 @@ func E5LRC(ctx context.Context, cfg Config) ([]*Table, error) {
 			}
 			ops = inst.Exec.NumOps()
 			disc = consistency.CheckDiscipline(inst.Exec).String()
-			res, err := consistency.VerifyLRC(ctx, inst.Exec, nil)
+			res, err := consistency.NewVerifier(consistency.LRC).Verify(ctx, inst.Exec)
 			if err != nil {
 				return nil, err
 			}
@@ -241,14 +241,14 @@ func E6VSCC(ctx context.Context, cfg Config) ([]*Table, error) {
 			}
 			hist = len(inst.Exec.Histories)
 			addrs = len(inst.Exec.Addresses())
-			ok, _, err := coherence.Coherent(ctx, inst.Exec, nil)
+			rep, err := coherence.NewVerifier().Verify(ctx, inst.Exec)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if rep.Coherent() {
 				promise++
 			}
-			res, err := consistency.SolveVSC(ctx, inst.Exec, nil)
+			res, err := consistency.NewVerifier(consistency.SC).Verify(ctx, inst.Exec)
 			if err != nil {
 				return nil, err
 			}

@@ -82,7 +82,7 @@ func E4SummaryTable(ctx context.Context, cfg Config) ([]*Table, error) {
 			Processors: k, OpsPerProc: n / k, Addresses: 1, Values: 3, WriteFraction: 0.4,
 		})
 		return func() {
-			res, err := coherence.Solve(ctx, exec, 0, &coherence.Options{MaxStates: 5_000_000})
+			res, err := solveExact(ctx, exec, 0, &coherence.Options{MaxStates: 5_000_000})
 			if err != nil {
 				if _, ok := solver.AsBudgetError(err); ok {
 					gaveUp++
@@ -208,6 +208,16 @@ func mustSolve(res *coherence.Result, err error) {
 	}
 }
 
+// solveExact decides one address with the exact search alone, so the
+// tables count that search's states rather than a specialist's.
+func solveExact(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *coherence.Options) (*coherence.Result, error) {
+	ar, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).SolveAddr(ctx, exec, addr)
+	if err != nil {
+		return nil, err
+	}
+	return ar.Result, nil
+}
+
 // hardGrowth runs the complete search on reduced hard instances of
 // growing variable count and reports the mean growth of visited states,
 // plus the aggregated solver stats across every solve.
@@ -223,7 +233,7 @@ func hardGrowth(ctx context.Context, rng *rand.Rand, sizes []int, build func(*sa
 			if err != nil {
 				return 0, "", agg, err
 			}
-			res, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil)
+			res, err := solveExact(ctx, inst.Exec, inst.Addr, nil)
 			if err != nil {
 				return 0, "", agg, err
 			}

@@ -1,11 +1,9 @@
 package reduction
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
-	"memverify/internal/coherence"
 	"memverify/internal/memory"
 	"memverify/internal/sat"
 )
@@ -43,7 +41,7 @@ func TestRestrictedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := solveExact(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +85,7 @@ func TestRestrictedViaToThreeSAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestRestrictedEmptyClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +115,7 @@ func TestRestrictedNoClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +160,7 @@ func TestRMWEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := solveExact(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +195,7 @@ func TestRMWEmptyClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +210,7 @@ func TestRMWNoClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,20 @@ import (
 	"memverify/internal/consistency"
 	"memverify/internal/memory"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 // smallFormula draws a random CNF small enough for the exponential
 // solvers on the reduced instances.
+// solveExact decides inst with the exact search alone.
+func solveExact(inst *VMCInstance) (*coherence.Result, error) {
+	ar, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).SolveAddr(context.Background(), inst.Exec, inst.Addr)
+	if err != nil {
+		return nil, err
+	}
+	return ar.Result, nil
+}
+
 func smallFormula(rng *rand.Rand, maxVars, maxClauses int) *sat.Formula {
 	nvars := 1 + rng.Intn(maxVars)
 	nclauses := rng.Intn(maxClauses + 1)
@@ -43,7 +53,7 @@ func TestSATToVMCFigure42Example(t *testing.T) {
 	if got := len(inst.Exec.Histories); got != 5 {
 		t.Errorf("histories = %d, want 5 (2m+3)", got)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +79,7 @@ func TestSATToVMCUnsatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +125,7 @@ func TestSATToVMCEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := solveExact(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +169,7 @@ func TestSATToVMCAgainstCDCL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := solveExact(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +210,7 @@ func TestSATToVMCSynchronizedLRCEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := consistency.VerifyLRC(context.Background(), inst.Exec, nil)
+		res, err := consistency.NewVerifier(consistency.LRC).Verify(context.Background(), inst.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +227,7 @@ func TestSATToVMCSynchronizedDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := solveExact(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

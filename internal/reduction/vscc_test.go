@@ -53,16 +53,16 @@ func TestVSCCCoherentByConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := coherence.VerifyExecution(context.Background(), inst.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), inst.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for a, r := range results {
-			if !r.Decided || !r.Coherent {
-				t.Fatalf("instance %d: address %d not coherent (formula %s)", i, a, q)
+		for _, ar := range rep.Addrs {
+			if ar.Verdict != coherence.VerdictCoherent {
+				t.Fatalf("instance %d: address %d not coherent (formula %s)", i, ar.Addr, q)
 			}
-			if err := memory.CheckCoherent(inst.Exec, a, r.Schedule); err != nil {
-				t.Fatalf("instance %d: address %d: invalid certificate: %v", i, a, err)
+			if err := memory.CheckCoherent(inst.Exec, ar.Addr, ar.Result.Schedule); err != nil {
+				t.Fatalf("instance %d: address %d: invalid certificate: %v", i, ar.Addr, err)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestVSCCEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := consistency.SolveVSCC(context.Background(), inst.Exec, nil)
+		res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), inst.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestVSCCNoClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.SolveVSCC(context.Background(), inst.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), inst.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,9 +143,10 @@ func WithBudget(budget ...Option) ConfigOption {
 }
 
 // WithOptions adopts an existing *Options value (cloned, so later
-// mutation of the caller's value does not leak in). It exists so the
-// pre-facade entry points, which all took an *Options parameter, can be
-// expressed as one-line wrappers; new code composes WithBudget instead.
+// mutation of the caller's value does not leak in). Use it to hand over
+// a whole prepared Options value, such as the per-address variant a
+// checkpoint run derives (carrying its resume memo and snapshot sink);
+// otherwise compose WithBudget.
 func WithOptions(o *Options) ConfigOption {
 	return func(c *Config) { c.Options = o.Clone() }
 }

@@ -44,7 +44,7 @@ type Stats struct {
 	Duration time.Duration
 	// Rung is the degradation-ladder rung that produced the answer: 0
 	// means the exact search decided (the normal case); positive values
-	// index the weaker rungs of coherence.SolveResilient (write-order,
+	// index the degrade rungs of StrategyResilient (write-order,
 	// restriction specialists, necessary conditions); -1 means the
 	// polynomial fast-path frontline decided before the exact search ran.
 	// Merge keeps the maximum, so an aggregate reveals the weakest rung

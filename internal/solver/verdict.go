@@ -10,10 +10,9 @@ type Verdict interface {
 	// Holds reports whether the verified property holds (a coherent
 	// schedule / consistent serialization exists).
 	Holds() bool
-	// IsDecided reports whether the solver established an answer.
-	// Since budget exhaustion is now reported as *ErrBudgetExceeded,
-	// results returned without error are always decided; the method
-	// remains for uniformity and for legacy callers.
+	// IsDecided reports whether the solver established an answer. It
+	// is false only when a StrategyResilient ladder ended Unknown;
+	// budget trips otherwise surface as *ErrBudgetExceeded errors.
 	IsDecided() bool
 	// AlgorithmName names the algorithm that produced the verdict.
 	AlgorithmName() string
