@@ -14,8 +14,8 @@ import (
 // (near) zero cross-instance allocation. It exists for workloads shaped
 // like memverifyd's cache-miss bursts — many independent litmus-sized
 // traces, each cheap to solve, where a loop over Verifier.SolveAddr spends
-// more time on per-call ceremony (double validation, projection maps,
-// scratch and layout construction) than on the solves themselves.
+// more time on per-call ceremony (double validation, per-address
+// projection, scratch and layout construction) than on the solves themselves.
 //
 // What the batch path pools or avoids, per job, relative to a looped
 // Verifier.SolveAddr:
@@ -23,11 +23,10 @@ import (
 //   - Validate runs once per distinct *Execution, not once per call;
 //   - jobs over one execution are grouped, and ALL of the group's
 //     addresses are projected in a single pass over the histories into
-//     pooled backing arrays with slice back-maps — a loop re-scans the
-//     whole execution (validate + Project + a Ref map) once per
-//     address, so an A-address burst does ~2A full scans where the
-//     batch does ~2;
-//   - single-address executions skip Project entirely (identity
+//     pooled backing arrays — a loop re-scans the whole execution
+//     (validate + two projection passes) once per address, so an
+//     A-address burst does ~3A full scans where the batch does ~3;
+//   - single-address executions are not projected at all (identity
 //     projection: the instance aliases the execution's histories and
 //     translates refs to themselves);
 //   - the ladder's budget, the specialists' value-count map, the packed
@@ -230,8 +229,7 @@ func growSlice[T any](s []T, n int) []T {
 // groupProject fills bs.gInsts with one instance per distinct address
 // in the group, projecting all of them in a single pass over the
 // execution's histories. Two counting+filling passes replace the
-// len(addrs) full Project scans (and their per-op Ref map inserts) a
-// loop would do; every slice is carved out of reusable backing arrays,
+// len(addrs) per-address projections a loop would do; every slice is carved out of reusable backing arrays,
 // so a group costs O(1) allocations once the pool is warm.
 func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jobIdx []int) {
 	clear(bs.gAddrIdx)

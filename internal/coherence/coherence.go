@@ -104,11 +104,9 @@ func (r *Result) Certificate() memory.Schedule { return r.Schedule }
 type instance struct {
 	addr memory.Addr
 	hist []memory.History
-	back map[memory.Ref]memory.Ref
-	// backIdx is the slice-backed alternative to back used by the batch
-	// driver's grouped projection: backIdx[p][i] is the original ref of
-	// the i-th projected op of process p. At most one of back/backIdx is
-	// set; both nil means the identity projection.
+	// backIdx[p][i] is the original ref of the i-th projected op of
+	// process p, in ascending program order. nil means the identity
+	// projection: the instance aliases the execution's histories.
 	backIdx [][]memory.Ref
 	init    *memory.Value
 	final   *memory.Value
@@ -136,7 +134,7 @@ func (in *instance) load(exec *memory.Execution, addr memory.Addr) {
 		in.hist, in.nops = exec.Histories, n
 	} else {
 		proj, back := exec.Project(addr)
-		in.hist, in.back, in.nops = proj.Histories, back, proj.NumOps()
+		in.hist, in.backIdx, in.nops = proj.Histories, back, proj.NumOps()
 	}
 	in.bind(exec, addr)
 }
@@ -168,23 +166,22 @@ func soleAddress(exec *memory.Execution, addr memory.Addr) (int, bool) {
 }
 
 // origRef maps a projection ref back to the original execution's ref.
-// A nil back-map means the instance IS the original execution (the
-// batch driver's identity projection), so refs map to themselves.
 func (in *instance) origRef(r memory.Ref) memory.Ref {
-	switch {
-	case in.backIdx != nil:
-		return in.backIdx[r.Proc][r.Index]
-	case in.back != nil:
-		return in.back[r]
+	if in.backIdx == nil {
+		return r
 	}
-	return r
+	return in.backIdx[r.Proc][r.Index]
 }
 
 // translate maps a schedule over projection refs back to original refs.
 func (in *instance) translate(s []memory.Ref) memory.Schedule {
 	out := make(memory.Schedule, len(s))
+	if in.backIdx == nil {
+		copy(out, s)
+		return out
+	}
 	for i, r := range s {
-		out[i] = in.origRef(r)
+		out[i] = in.backIdx[r.Proc][r.Index]
 	}
 	return out
 }

@@ -39,6 +39,7 @@ package coherence
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"memverify/internal/memory"
@@ -127,15 +128,20 @@ type fastChecker struct {
 	inst *instance
 	np   int // processes
 
-	nw      int            // writer blocks
-	wref    []memory.Ref   // block -> projection ref
-	wProc   []int32        // block -> history index
-	wOrd    []int32        // block -> ordinal among its history's writers
-	wVal    []memory.Value // block -> value written
-	blockAt [][]int32      // per history: op index -> block, -1 for pure reads
-	prevW   [][]int32      // per history: nearest writer block strictly before op
-	nextW   [][]int32      // per history: nearest writer block strictly after op
-	byVal   map[memory.Value][]int32
+	nw      int          // writer blocks
+	wref    []memory.Ref // block -> projection ref
+	wProc   []int32      // block -> history index
+	wOrd    []int32      // block -> ordinal among its history's writers
+	blockAt [][]int32    // per history: op index -> block, -1 for pure reads
+	prevW   [][]int32    // per history: nearest writer block strictly before op
+	nextW   [][]int32    // per history: nearest writer block strictly after op
+	readAt  [][]int32    // per history: op index -> read index, -1 for pure writes
+
+	// The writers of each value, in block order, as CSR: value id v's
+	// blocks are valBlocks[valStart[v]:valStart[v+1]].
+	valID     map[memory.Value]int32
+	valStart  []int32
+	valBlocks []int32
 
 	reads    []fastRead
 	floating int // tracked floating reads
@@ -147,10 +153,10 @@ type fastChecker struct {
 	// b0rmw is the read index of the RMW pinned to the head of the write
 	// order (-1 none): at most one RMW can read the initial value.
 	b0rmw int32
-	// rmwClaim maps a block to the RMW read determined to read it
-	// directly: an RMW must immediately follow its source write, so two
-	// claimants refute.
-	rmwClaim map[int32]int32
+	// rmwClaim[b] is 1 + the RMW read determined to read block b
+	// directly (0 none): an RMW must immediately follow its source
+	// write, so two claimants refute.
+	rmwClaim []int32
 
 	edges  [][2]int32 // necessary ordering edges between blocks
 	reject string     // first sound refutation ("" while none)
@@ -164,30 +170,61 @@ func (c *fastChecker) fail(detail string) {
 }
 
 // newFastChecker indexes the writers of the instance: block ids, the
-// per-history program-order chains (as necessary edges), and the
-// nearest-writer tables used by the candidate rules.
+// per-history program-order chains (as necessary edges), the writers of
+// each value, and the nearest-writer tables used by the candidate rules.
+// A counting pass sizes every table, so each is one allocation; the
+// per-op tables are per-history views of one flat array.
 func newFastChecker(inst *instance) *fastChecker {
+	np := len(inst.hist)
+	nw, nr := 0, 0
+	for _, hist := range inst.hist {
+		for _, o := range hist {
+			if _, ok := o.Writes(); ok {
+				nw++
+			}
+			if _, ok := o.Reads(); ok {
+				nr++
+			}
+		}
+	}
 	c := &fastChecker{
 		inst:     inst,
-		np:       len(inst.hist),
+		np:       np,
 		b0rmw:    -1,
-		rmwClaim: make(map[int32]int32),
-		byVal:    make(map[memory.Value][]int32),
+		wref:     make([]memory.Ref, 0, nw),
+		wProc:    make([]int32, 0, nw),
+		wOrd:     make([]int32, 0, nw),
+		rmwClaim: make([]int32, nw),
+		reads:    make([]fastRead, 0, nr),
+		edges:    make([][2]int32, 0, nw+2*nr), // program-order chains + ≤ 2 per read
+		blockAt:  make([][]int32, np),
+		prevW:    make([][]int32, np),
+		nextW:    make([][]int32, np),
+		readAt:   make([][]int32, np),
+		valID:    make(map[memory.Value]int32),
 	}
+	perOp := make([]int32, 4*inst.nops)
+	wValID := make([]int32, 0, nw)
 	for h, hist := range inst.hist {
-		ba := make([]int32, len(hist))
+		n := len(hist)
+		ba, pw, nx, ra := perOp[:n:n], perOp[n:2*n:2*n], perOp[2*n:3*n:3*n], perOp[3*n:4*n:4*n]
+		perOp = perOp[4*n:]
 		ord := int32(0)
 		var last int32 = -1
 		for i, o := range hist {
-			ba[i] = -1
+			ba[i], ra[i] = -1, -1
 			if d, ok := o.Writes(); ok {
 				b := int32(c.nw)
 				c.nw++
 				c.wref = append(c.wref, memory.Ref{Proc: h, Index: i})
 				c.wProc = append(c.wProc, int32(h))
 				c.wOrd = append(c.wOrd, ord)
-				c.wVal = append(c.wVal, d)
-				c.byVal[d] = append(c.byVal[d], b)
+				id, seen := c.valID[d]
+				if !seen {
+					id = int32(len(c.valID))
+					c.valID[d] = id
+				}
+				wValID = append(wValID, id)
 				ba[i] = b
 				ord++
 				if last >= 0 {
@@ -197,10 +234,6 @@ func newFastChecker(inst *instance) *fastChecker {
 				last = b
 			}
 		}
-		c.blockAt = append(c.blockAt, ba)
-
-		pw := make([]int32, len(hist))
-		nx := make([]int32, len(hist))
 		run := int32(-1)
 		for i := range hist {
 			pw[i] = run
@@ -209,16 +242,40 @@ func newFastChecker(inst *instance) *fastChecker {
 			}
 		}
 		run = -1
-		for i := len(hist) - 1; i >= 0; i-- {
+		for i := n - 1; i >= 0; i-- {
 			nx[i] = run
 			if ba[i] >= 0 {
 				run = ba[i]
 			}
 		}
-		c.prevW = append(c.prevW, pw)
-		c.nextW = append(c.nextW, nx)
+		c.blockAt[h], c.prevW[h], c.nextW[h], c.readAt[h] = ba, pw, nx, ra
+	}
+
+	// Bucket the blocks by value id; filling in block order keeps each
+	// value's writers ascending.
+	c.valStart = make([]int32, len(c.valID)+1)
+	for _, id := range wValID {
+		c.valStart[id+1]++
+	}
+	for v := range len(c.valID) {
+		c.valStart[v+1] += c.valStart[v]
+	}
+	c.valBlocks = make([]int32, nw)
+	fill := slices.Clone(c.valStart[:len(c.valID)])
+	for b, id := range wValID {
+		c.valBlocks[fill[id]] = int32(b)
+		fill[id]++
 	}
 	return c
+}
+
+// writersOf returns the blocks that write d, in block order.
+func (c *fastChecker) writersOf(d memory.Value) []int32 {
+	id, ok := c.valID[d]
+	if !ok {
+		return nil
+	}
+	return c.valBlocks[c.valStart[id]:c.valStart[id+1]]
 }
 
 // collectReads builds the candidate source set of every read and
@@ -247,7 +304,7 @@ func (c *fastChecker) collectReads() {
 			if r.rmw {
 				own = c.blockAt[h][i]
 			}
-			writers := c.byVal[d]
+			writers := c.writersOf(d)
 			var cands []int32
 			for _, w := range writers {
 				if w == own {
@@ -262,6 +319,7 @@ func (c *fastChecker) collectReads() {
 				}
 			}
 			ri := len(c.reads)
+			c.readAt[h][i] = int32(ri)
 			switch {
 			case len(cands) == 0 && !r.canB0:
 				c.reads = append(c.reads, r)
@@ -340,11 +398,11 @@ func (c *fastChecker) determine(ri int, src int32) {
 	}
 	if r.rmw {
 		own := c.blockAt[h][i]
-		if prev, claimed := c.rmwClaim[src]; claimed && prev != int32(ri) {
+		if claim := c.rmwClaim[src]; claim != 0 && claim != int32(ri)+1 {
 			c.fail("two read-modify-writes directly read the same write")
 			return
 		}
-		c.rmwClaim[src] = int32(ri)
+		c.rmwClaim[src] = int32(ri) + 1
 		c.edges = append(c.edges, [2]int32{src, own})
 	} else if nx := c.nextW[h][i]; nx >= 0 && nx != src {
 		c.edges = append(c.edges, [2]int32{src, nx})
@@ -502,18 +560,17 @@ func (c *fastChecker) pruneRound() (changed bool) {
 	}
 	vc := c.clocks(order, start, dst)
 
-	// Reads of one history, indexed for the neighbor scans.
-	readAt := make(map[[2]int]int, len(c.reads))
-	for ri := range c.reads {
-		readAt[[2]int{c.reads[ri].proc, c.reads[ri].idx}] = ri
-	}
-
 	const none = int32(-3) // pd/nd encoding: -3 no determined neighbor, -1 initial region, ≥0 block
+	var ndBuf []int32
 	for h, hist := range c.inst.hist {
+		readAt := c.readAt[h]
 		// nd[i]: the nearest determined operation at index > i — a writer
 		// pins region(read) ≤ position(writer), a determined read pins
 		// region(read) ≤ position(its source).
-		nd := make([]int32, len(hist))
+		if cap(ndBuf) < len(hist) {
+			ndBuf = make([]int32, len(hist))
+		}
+		nd := ndBuf[:len(hist)]
 		run := none
 		for i := len(hist) - 1; i >= 0; i-- {
 			nd[i] = run
@@ -521,13 +578,14 @@ func (c *fastChecker) pruneRound() (changed bool) {
 				run = b
 				continue
 			}
-			if ri, ok := readAt[[2]int{h, i}]; ok && c.reads[ri].det {
+			if ri := readAt[i]; ri >= 0 && c.reads[ri].det {
 				run = c.reads[ri].src
 			}
 		}
 		pd := none
 		for i := range hist {
-			ri, isRead := readAt[[2]int{h, i}]
+			ri := int(readAt[i])
+			isRead := ri >= 0
 			if isRead && c.reads[ri].floating {
 				if c.pruneRead(ri, pd, nd[i], vc) {
 					changed = true
@@ -645,7 +703,7 @@ func fastInstance(ctx context.Context, inst *instance) (*fastOutcome, *solver.Er
 		}
 		return finish(fastReject, r, "no coherent placement without writes")
 	}
-	if inst.final != nil && len(c.byVal[*inst.final]) == 0 {
+	if inst.final != nil && len(c.writersOf(*inst.final)) == 0 {
 		return finish(fastReject, fastRejectResult(), fmt.Sprintf("declared final value %d is never written", *inst.final))
 	}
 	if e := interrupted(); e != nil {
@@ -685,7 +743,7 @@ func fastInstance(ctx context.Context, inst *instance) (*fastOutcome, *solver.Er
 		for _, e := range c.edges {
 			outdeg[e[0]]++
 		}
-		for _, b := range c.byVal[*inst.final] {
+		for _, b := range c.writersOf(*inst.final) {
 			if outdeg[b] == 0 {
 				holdBack = b
 				break

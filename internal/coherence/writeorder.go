@@ -3,6 +3,8 @@ package coherence
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"memverify/internal/memory"
@@ -56,24 +58,36 @@ func SolveWithWriteOrder(ctx context.Context, exec *memory.Execution, addr memor
 }
 
 // toProjectionRefs translates original execution refs to projection
-// refs, whichever back-map form the instance carries.
+// refs. The identity projection maps refs to themselves; a slice-backed
+// one is inverted by binary search, since backIdx[p] lists process p's
+// original indices in ascending program order.
 func (in *instance) toProjectionRefs(refs []memory.Ref, addr memory.Addr) ([]memory.Ref, error) {
-	fwd := make(map[memory.Ref]memory.Ref, in.nops)
-	for p, h := range in.hist {
-		for i := range h {
-			pr := memory.Ref{Proc: p, Index: i}
-			fwd[in.origRef(pr)] = pr
-		}
-	}
 	out := make([]memory.Ref, len(refs))
 	for i, r := range refs {
-		pr, ok := fwd[r]
+		pr, ok := in.projRef(r)
 		if !ok {
 			return nil, fmt.Errorf("coherence: write order entry %s is not an operation of address %d", r, addr)
 		}
 		out[i] = pr
 	}
 	return out, nil
+}
+
+// projRef maps an original execution ref to its projection ref, if the
+// op belongs to the instance.
+func (in *instance) projRef(r memory.Ref) (memory.Ref, bool) {
+	if r.Proc < 0 || r.Proc >= len(in.hist) || r.Index < 0 {
+		return memory.Ref{}, false
+	}
+	if in.backIdx == nil {
+		return r, r.Index < len(in.hist[r.Proc])
+	}
+	back := in.backIdx[r.Proc]
+	i := sort.Search(len(back), func(i int) bool { return back[i].Index >= r.Index })
+	if i == len(back) || back[i].Index != r.Index {
+		return memory.Ref{}, false
+	}
+	return memory.Ref{Proc: r.Proc, Index: i}, true
 }
 
 // validateWriteOrder checks that order lists every writing op of the
@@ -87,24 +101,21 @@ func (in *instance) validateWriteOrder(order []memory.Ref) error {
 			}
 		}
 	}
-	seen := make(map[memory.Ref]bool, len(order))
-	lastIdx := make(map[int]int)
+	t := memory.NewOpTracker(in.hist)
 	for _, r := range order {
-		if r.Proc < 0 || r.Proc >= len(in.hist) || r.Index < 0 || r.Index >= len(in.hist[r.Proc]) {
+		if !t.InRange(r) {
 			return fmt.Errorf("coherence: write order reference %s out of range", r)
 		}
 		o := in.hist[r.Proc][r.Index]
 		if _, ok := o.Writes(); !ok {
 			return fmt.Errorf("coherence: write order entry %s (%s) does not write", r, o)
 		}
-		if seen[r] {
+		switch t.Mark(r) {
+		case memory.MarkedTwice:
 			return fmt.Errorf("coherence: write order lists %s twice", r)
-		}
-		seen[r] = true
-		if last, ok := lastIdx[r.Proc]; ok && r.Index <= last {
+		case memory.MarkedOutOfOrder:
 			return fmt.Errorf("coherence: write order violates program order at %s", r)
 		}
-		lastIdx[r.Proc] = r.Index
 	}
 	if len(order) != writers {
 		return fmt.Errorf("coherence: write order lists %d operations, instance has %d writing operations",
@@ -120,7 +131,11 @@ func writeOrderInstance(inst *instance, order []memory.Ref) (r *Result, err erro
 	if err := inst.validateWriteOrder(order); err != nil {
 		return nil, err
 	}
+	pl := placer{inst: inst, off: memory.OpOffsets(inst.hist)}
 	incoherent := &Result{Coherent: false, Decided: true, Algorithm: "write-order"}
+	coherent := func(sched memory.Schedule) *Result {
+		return &Result{Coherent: true, Decided: true, Schedule: sched, Algorithm: "write-order"}
+	}
 
 	// Determine the pre-write-region value. It may be forced by a
 	// declared initial value or by a read-modify-write standing first in
@@ -139,44 +154,61 @@ func writeOrderInstance(inst *instance, order []memory.Ref) (r *Result, err erro
 		}
 	}
 	if init != nil {
-		sched, ok := placeReads(inst, order, init)
+		sched, ok := pl.place(order, init)
 		if !ok {
 			return incoherent, nil
 		}
-		return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
+		return coherent(sched), nil
 	}
 	// Unknown pre-write value: candidates are the values of reads that
 	// may land in the pre-write region (the first reads of each history
-	// that precede the history's first write).
-	candidates := make(map[memory.Value]bool)
+	// that precede the history's first write), tried in ascending order.
+	var candidates []memory.Value
 	for _, h := range inst.hist {
 		for _, o := range h {
 			if _, isWrite := o.Writes(); isWrite {
 				break
 			}
-			candidates[o.Data] = true
+			candidates = append(candidates, o.Data)
 		}
 	}
 	if len(candidates) == 0 {
-		sched, ok := placeReads(inst, order, nil)
+		sched, ok := pl.place(order, nil)
 		if !ok {
 			return incoherent, nil
 		}
-		return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
+		return coherent(sched), nil
 	}
-	for v := range candidates {
+	slices.Sort(candidates)
+	for _, v := range slices.Compact(candidates) {
 		v := v
-		if sched, ok := placeReads(inst, order, &v); ok {
-			return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
+		if sched, ok := pl.place(order, &v); ok {
+			return coherent(sched), nil
 		}
 	}
 	return incoherent, nil
 }
 
-// placeReads attempts to extend the write order into a full coherent
+// placer is the §5.2 read placement over one instance, with its dense
+// per-op scratch reused across the candidate initial values.
+type placer struct {
+	inst *instance
+	off  []int // memory.OpOffsets of the instance's histories
+	// region[off[h]+i] is the region of op i of history h: for a writer
+	// the region it opens (1-based write-order position), for a read
+	// first the region of its history's next writer, then the region it
+	// is placed in.
+	region []int32
+	// cursor[b] counts the reads placed in region b, then becomes the
+	// schedule position of the next one.
+	cursor []int32
+}
+
+// place attempts to extend the write order into a full coherent
 // schedule with the pre-write region bound to init (nil means the region
-// matches no read). It returns the schedule in projection refs.
-func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memory.Ref, bool) {
+// matches no read). It returns the schedule in original execution refs.
+func (pl *placer) place(order []memory.Ref, init *memory.Value) (memory.Schedule, bool) {
+	inst, off := pl.inst, pl.off
 	nw := len(order)
 	// value[b] is the memory value in force in region b: region 0
 	// precedes all writes; region b (1-based) follows the b-th write.
@@ -185,7 +217,13 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 	if init != nil {
 		value[0], valueBound[0] = *init, true
 	}
-	regionOf := make(map[memory.Ref]int, nw)
+	if pl.region == nil {
+		pl.region = make([]int32, off[len(inst.hist)])
+		pl.cursor = make([]int32, nw+1)
+	} else {
+		clear(pl.cursor)
+	}
+	region, cursor := pl.region, pl.cursor
 	for b, r := range order {
 		o := inst.hist[r.Proc][r.Index]
 		// A read-modify-write embedded in the write order must read the
@@ -197,7 +235,7 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 		}
 		dw, _ := o.Writes()
 		value[b+1], valueBound[b+1] = dw, true
-		regionOf[r] = b + 1
+		region[off[r.Proc]+r.Index] = int32(b + 1)
 	}
 
 	// Final value: the last write must store it; with no writes, a bound
@@ -211,38 +249,33 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 		}
 	}
 
-	// Insert reads. reads[b] accumulates the reads assigned to region b.
-	// Appending preserves per-history program order within a region
-	// because each history is traversed in program order.
-	reads := make([][]memory.Ref, nw+1)
-	for h := range inst.hist {
-		hist := inst.hist[h]
-		// nextWriteRegion[i]: region index of the first writing op of
-		// this history at or after op i (nw+1 if none). A read at i must
-		// be placed in a region strictly below nextWriteRegion[i+1].
-		nextWriteRegion := make([]int, len(hist)+1)
-		nextWriteRegion[len(hist)] = nw + 1
+	// Insert reads, each in the earliest region of its window holding
+	// its value.
+	for h, hist := range inst.hist {
+		reg := region[off[h]:off[h+1]]
+		// Backward pass: a read at i must be placed in a region strictly
+		// below that of the first writer of its history after it (nw+1
+		// if none).
+		limit := int32(nw + 1)
 		for i := len(hist) - 1; i >= 0; i-- {
 			if _, ok := hist[i].Writes(); ok {
-				nextWriteRegion[i] = regionOf[memory.Ref{Proc: h, Index: i}]
+				limit = reg[i]
 			} else {
-				nextWriteRegion[i] = nextWriteRegion[i+1]
+				reg[i] = limit
 			}
 		}
-		curRegion := 0
+		curRegion := int32(0)
 		for i, o := range hist {
-			ref := memory.Ref{Proc: h, Index: i}
 			if _, ok := o.Writes(); ok {
-				curRegion = regionOf[ref]
+				curRegion = reg[i]
 				continue
 			}
 			d := o.Data
-			limit := nextWriteRegion[i+1]
 			placed := false
-			for b := curRegion; b < limit && b <= nw; b++ {
+			for b := curRegion; b < reg[i] && int(b) <= nw; b++ {
 				if valueBound[b] && value[b] == d {
-					reads[b] = append(reads[b], ref)
-					curRegion = b
+					reg[i], curRegion = b, b
+					cursor[b]++
 					placed = true
 					break
 				}
@@ -254,12 +287,28 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 	}
 
 	// Emit the schedule: region 0 reads, then each write followed by its
-	// region's reads.
-	sched := make([]memory.Ref, 0, inst.nops)
-	sched = append(sched, reads[0]...)
+	// region's reads. Region b's reads start after the writes and reads
+	// of every earlier region; histories are visited in order, so reads
+	// of one region keep the per-history program order.
+	sched := make(memory.Schedule, off[len(inst.hist)])
+	pos := int32(0)
+	for b := 0; b <= nw; b++ {
+		n := cursor[b]
+		cursor[b] = pos
+		pos += n + 1 // the region's reads, then the write opening b+1
+	}
 	for b, r := range order {
-		sched = append(sched, r)
-		sched = append(sched, reads[b+1]...)
+		sched[cursor[b+1]-1] = inst.origRef(r)
+	}
+	for h, hist := range inst.hist {
+		reg := region[off[h]:off[h+1]]
+		for i, o := range hist {
+			if _, ok := o.Writes(); ok {
+				continue
+			}
+			sched[cursor[reg[i]]] = inst.origRef(memory.Ref{Proc: h, Index: i})
+			cursor[reg[i]]++
+		}
 	}
 	return sched, true
 }

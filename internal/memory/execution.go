@@ -135,29 +135,47 @@ func (e *Execution) Validate() error {
 
 // Project extracts the single-address sub-execution for address a: each
 // history keeps only its data-memory operations to a, preserving program
-// order. The returned mapping translates a Ref in the projection back to
-// the Ref of the same operation in e (indexed the same way as the
-// projection's histories). Synchronization operations are dropped; they
-// carry no data and the coherence problem (Definition 4.1) is stated over
-// reads and writes of one address.
-func (e *Execution) Project(a Addr) (*Execution, map[Ref]Ref) {
+// order. The returned back-map translates a Ref in the projection to the
+// Ref of the same operation in e: back[p][i] is the original ref of op i
+// of the projection's history p, so back[p] is ascending in Index.
+// Synchronization operations are dropped; they carry no data and the
+// coherence problem (Definition 4.1) is stated over reads and writes of
+// one address.
+//
+// One counting pass sizes two flat arrays, the projected ops and their
+// original refs; a second pass fills them and carves out the per-process
+// slices. A process with no operation at a gets a nil history.
+func (e *Execution) Project(a Addr) (*Execution, [][]Ref) {
 	proj := &Execution{}
-	back := make(map[Ref]Ref)
 	if d, ok := e.Initial[a]; ok {
 		proj.SetInitial(a, d)
 	}
 	if d, ok := e.Final[a]; ok {
 		proj.SetFinal(a, d)
 	}
-	for p, h := range e.Histories {
-		var sub History
-		for i, o := range h {
+	n := 0
+	for _, h := range e.Histories {
+		for _, o := range h {
 			if o.IsMemory() && o.Addr == a {
-				back[Ref{Proc: p, Index: len(sub)}] = Ref{Proc: p, Index: i}
-				sub = append(sub, o)
+				n++
 			}
 		}
-		proj.Histories = append(proj.Histories, sub)
+	}
+	ops, refs := make([]Op, 0, n), make([]Ref, 0, n)
+	proj.Histories = make([]History, len(e.Histories))
+	back := make([][]Ref, len(e.Histories))
+	for p, h := range e.Histories {
+		start := len(ops)
+		for i, o := range h {
+			if o.IsMemory() && o.Addr == a {
+				ops = append(ops, o)
+				refs = append(refs, Ref{Proc: p, Index: i})
+			}
+		}
+		if end := len(ops); end > start {
+			proj.Histories[p] = History(ops[start:end:end])
+			back[p] = refs[start:end:end]
+		}
 	}
 	return proj, back
 }

@@ -61,7 +61,7 @@ func TestProjectBackMappingFaithful(t *testing.T) {
 			proj, back := e.Project(a)
 			for p, h := range proj.Histories {
 				for i := range h {
-					orig := back[Ref{Proc: p, Index: i}]
+					orig := back[p][i]
 					if e.Op(orig) != h[i] {
 						return false
 					}

@@ -23,34 +23,37 @@ func (s Schedule) Format(exec *Execution) string {
 	return b.String()
 }
 
-// checkCoverage verifies that s contains only operations from the allowed
-// set, each at most once and in program order per process, and that every
-// operation in the required set appears. It is shared by the coherent- and
-// SC-schedule checkers.
-func checkCoverage(exec *Execution, s Schedule, allowed, required map[Ref]bool) error {
-	seen := make(map[Ref]bool, len(s))
-	lastIndex := make(map[int]int) // proc -> last scheduled history index
+// checkCoverage verifies that s contains only operations for which
+// belongs holds, each at most once and in program order per process, and
+// that every operation for which required holds appears. It is shared by
+// the coherent- and SC-schedule checkers.
+//
+// An OpTracker does the bookkeeping: a few allocations and O(n+P)
+// worst-case time for an execution of n operations over P processes. A
+// missing operation is reported as the lowest (process, index) one, so
+// the message does not depend on anything but the inputs.
+func checkCoverage(exec *Execution, s Schedule, belongs, required func(Op) bool) error {
+	t := NewOpTracker(exec.Histories)
 	for pos, r := range s {
-		if r.Proc < 0 || r.Proc >= len(exec.Histories) ||
-			r.Index < 0 || r.Index >= len(exec.Histories[r.Proc]) {
+		if !t.InRange(r) {
 			return fmt.Errorf("memory: schedule[%d]: reference %s out of range", pos, r)
 		}
-		if !allowed[r] {
+		if !belongs(exec.Histories[r.Proc][r.Index]) {
 			return fmt.Errorf("memory: schedule[%d]: operation %s does not belong to this instance", pos, r)
 		}
-		if seen[r] {
+		switch t.Mark(r) {
+		case MarkedTwice:
 			return fmt.Errorf("memory: schedule[%d]: operation %s scheduled twice", pos, r)
-		}
-		seen[r] = true
-		if last, ok := lastIndex[r.Proc]; ok && r.Index <= last {
+		case MarkedOutOfOrder:
 			return fmt.Errorf("memory: schedule[%d]: %s violates program order (P%d[%d] already scheduled)",
-				pos, r, r.Proc, last)
+				pos, r, r.Proc, t.Last(r.Proc))
 		}
-		lastIndex[r.Proc] = r.Index
 	}
-	for r := range required {
-		if !seen[r] {
-			return fmt.Errorf("memory: schedule is missing operation %s (%s)", r, exec.Op(r))
+	for p, h := range exec.Histories {
+		for i, o := range h {
+			if !t.Listed(p, i) && required(o) {
+				return fmt.Errorf("memory: schedule is missing operation %s (%s)", Ref{Proc: p, Index: i}, o)
+			}
 		}
 	}
 	return nil
@@ -64,19 +67,12 @@ func checkCoverage(exec *Execution, s Schedule, allowed, required map[Ref]bool) 
 // initial value, if one is recorded); and if a final value is recorded,
 // the last write must store it.
 //
-// The check runs in O(n) time for n scheduled operations (expected-case
-// map operations), implementing the NP-membership argument of
-// Theorem 4.2.
+// The check runs in worst-case O(n+P) time for an execution of n
+// operations over P processes, with no maps, implementing the
+// NP-membership argument of Theorem 4.2.
 func CheckCoherent(exec *Execution, a Addr, s Schedule) error {
-	want := make(map[Ref]bool)
-	for p, h := range exec.Histories {
-		for i, o := range h {
-			if o.IsMemory() && o.Addr == a {
-				want[Ref{Proc: p, Index: i}] = true
-			}
-		}
-	}
-	if err := checkCoverage(exec, s, want, want); err != nil {
+	atAddr := func(o Op) bool { return o.IsMemory() && o.Addr == a }
+	if err := checkCoverage(exec, s, atAddr, atAddr); err != nil {
 		return err
 	}
 
@@ -131,18 +127,8 @@ func CheckCoherent(exec *Execution, a Addr, s Schedule) error {
 // The check runs in O(n) time, matching the "legal schedule" validation of
 // Gibbons & Korach.
 func CheckSC(exec *Execution, s Schedule) error {
-	allowed := make(map[Ref]bool)
-	required := make(map[Ref]bool)
-	for p, h := range exec.Histories {
-		for i := range h {
-			r := Ref{Proc: p, Index: i}
-			allowed[r] = true
-			if h[i].IsMemory() {
-				required[r] = true
-			}
-		}
-	}
-	if err := checkCoverage(exec, s, allowed, required); err != nil {
+	anyOp := func(Op) bool { return true }
+	if err := checkCoverage(exec, s, anyOp, Op.IsMemory); err != nil {
 		return err
 	}
 

@@ -241,3 +241,26 @@ func TestCheckSCUnboundInitial(t *testing.T) {
 		t.Errorf("binding initial read rejected: %v", err)
 	}
 }
+
+// TestCheckCoverageMissingIsDeterministic: a schedule missing several
+// operations is reported missing the lowest (process, index) one, on
+// every call.
+func TestCheckCoverageMissingIsDeterministic(t *testing.T) {
+	e := NewExecution(
+		History{W(0, 1), R(0, 1), W(0, 2)},
+		History{R(0, 2), W(0, 3)},
+	)
+	s := Schedule{ref(0, 0), ref(0, 2), ref(1, 0)} // misses P0[1] and P1[1]
+	first := CheckCoherent(e, 0, s)
+	if first == nil || !strings.Contains(first.Error(), "missing operation P0[1]") {
+		t.Fatalf("CheckCoherent = %v, want the missing P0[1] reported", first)
+	}
+	for i := 0; i < 20; i++ {
+		if err := CheckCoherent(e, 0, s); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: %v, want %v", i, err, first)
+		}
+		if err := CheckSC(e, s); err == nil || err.Error() != first.Error() {
+			t.Fatalf("CheckSC call %d: %v, want %v", i, err, first)
+		}
+	}
+}

@@ -29,6 +29,15 @@ func FuzzRead(f *testing.F) {
 	f.Add("P0: Q x 1\n")
 	f.Add("init x 0\ninit x 1\nfinal x 0\nfinal x 2\n")
 	f.Add("P0: W x 1\nP0: W x 1\nP0: R x 1\nP0: R x 1\n")
+	// Whitespace shapes: the ASCII splitter handles tabs, \r and \v
+	// itself; U+00A0 and U+2003 separate fields only through the
+	// strings.Fields fallback for non-ASCII lines.
+	f.Add("init\tx\t0\nP0:\tW x\t1\n")
+	f.Add("P0: W x 1\r\nP1: R x 1\r\n")
+	f.Add("P0:\vW\vx\v1\n")
+	f.Add("P0:\u00a0W\u00a0x\u00a01\n")
+	f.Add("init x\u20030\nP0: R\u2003x 0\n")
+	f.Add("order x P0[0] P0[1] P0[2] P0[3] P0[4] P0[5] P0[6] P0[7]\nP0: W x 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := Read(strings.NewReader(input))
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"memverify/internal/memory"
 )
@@ -95,6 +96,7 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 	}
 
+	var fieldBuf [maxFields]string
 	lineNum := 0
 	for sc.Scan() {
 		lineNum++
@@ -102,7 +104,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields := splitFields(line, &fieldBuf)
 		switch {
 		case fields[0] == "init" || fields[0] == "final":
 			if len(fields) != 3 {
@@ -166,6 +168,59 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
+
+// maxFields is the capacity of Read's reused field buffer: every line
+// but a long "order" line fits.
+const maxFields = 8
+
+// splitFields splits line around runs of ASCII whitespace into buf
+// without allocating; the result aliases buf. A line holding a non-ASCII
+// byte, or more than maxFields fields, goes to strings.Fields instead,
+// so Unicode whitespace (U+0085, U+00A0, U+2003, ...) separates fields
+// exactly as strings.Fields defines it.
+func splitFields(line string, buf *[maxFields]string) []string {
+	n := 0
+	for i := 0; i < len(line); {
+		switch byteClass[line[i]] {
+		case classSpace:
+			i++
+			continue
+		case classNonASCII:
+			return strings.Fields(line)
+		}
+		j := i + 1
+		for j < len(line) && byteClass[line[j]] == classField {
+			j++
+		}
+		if n == maxFields {
+			return strings.Fields(line)
+		}
+		buf[n] = line[i:j]
+		n++
+		i = j
+	}
+	return buf[:n]
+}
+
+// Byte classes for splitFields.
+const (
+	classField = iota
+	classSpace
+	classNonASCII
+)
+
+// byteClass classifies every byte for splitFields: the ASCII bytes
+// strings.Fields treats as space, bytes that start or continue a
+// multi-byte UTF-8 sequence, and everything else.
+var byteClass = func() (t [256]uint8) {
+	for _, c := range []byte{' ', '\t', '\n', '\v', '\f', '\r'} {
+		t[c] = classSpace
+	}
+	for c := utf8.RuneSelf; c < 256; c++ {
+		t[c] = classNonASCII
+	}
+	return t
+}()
 
 func parseOp(fields []string, intern func(string) memory.Addr, parseVal func(string) (memory.Value, error)) (memory.Op, error) {
 	if len(fields) == 0 {

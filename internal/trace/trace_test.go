@@ -183,3 +183,45 @@ func TestWriteDefaultNames(t *testing.T) {
 		t.Errorf("default name missing: %s", buf.String())
 	}
 }
+
+// TestSplitFieldsMatchesStringsFields pins the parser's allocation-free
+// splitter to strings.Fields on ASCII whitespace, non-ASCII whitespace
+// (which takes the fallback) and lines longer than the field buffer.
+func TestSplitFieldsMatchesStringsFields(t *testing.T) {
+	lines := []string{
+		"P0: W x 1",
+		"P0:\tW\tx\t1",
+		"  init   x  0  ",
+		"P1: RW y -3 4\r",
+		"P0:\vR\fx\v7",
+		"P0:\u00a0W x 1",
+		"P0: W\u2003x 1",
+		"P0: W x\u00851",
+		"P0: W hétérogène 1",
+		"order x P0[0] P0[1] P0[2] P0[3] P0[4] P0[5] P0[6] P0[7] P0[8]",
+		"",
+		" \t ",
+	}
+	var buf [maxFields]string
+	for _, line := range lines {
+		got, want := splitFields(line, &buf), strings.Fields(line)
+		if len(got) == 0 && len(want) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
+		}
+	}
+}
+
+// TestReadUnicodeWhitespace checks that a no-break space separates
+// fields as it did before the ASCII fast path.
+func TestReadUnicodeWhitespace(t *testing.T) {
+	tr, err := Read(strings.NewReader("init x\u00a05\nP0:\u2003R x 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Exec.Initial[0] != 5 || !reflect.DeepEqual(tr.Exec.Histories[0], memory.History{memory.R(0, 5)}) {
+		t.Errorf("parsed %+v", tr.Exec)
+	}
+}
