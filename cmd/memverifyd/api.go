@@ -61,10 +61,6 @@ type AddrResult struct {
 	Verdict   string `json:"verdict"` // coherent | incoherent | unknown
 	Algorithm string `json:"algorithm,omitempty"`
 	States    int    `json:"states"`
-	// Workers is the effective parallel-search team size on this address
-	// — the workers that actually engaged, not the -psearch ask. Present
-	// only when the parallel search ran with more than one worker.
-	Workers int `json:"workers,omitempty"`
 }
 
 // StatsJSON summarizes solver work in the response.

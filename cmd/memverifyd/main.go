@@ -59,7 +59,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8372", "listen address")
 		workers     = flag.Int("workers", runtime.NumCPU(), "verification worker fleet size")
-		psearch     = flag.Int("psearch", 0, "parallel-search team size for each request's hardest address (0/1 = sequential)")
 		maxInflight = flag.Int("max-inflight", 64, "admitted requests before backpressure (429)")
 		queueDepth  = flag.Int("queue", 256, "shard queue capacity")
 		cacheSize   = flag.Int("cache", 1024, "result cache entries (0 disables)")
@@ -95,7 +94,6 @@ func main() {
 
 	cfg := serverConfig{
 		workers:          *workers,
-		psearch:          *psearch,
 		maxInflight:      *maxInflight,
 		queueDepth:       *queueDepth,
 		cacheSize:        *cacheSize,

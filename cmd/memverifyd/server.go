@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,14 +26,6 @@ type serverConfig struct {
 	// workers is the size of the verification worker fleet — the only
 	// goroutines that run solver searches.
 	workers int
-	// psearch, when > 1, lets the hardest address of each request split
-	// its exact search across this many workers sharing one memo table
-	// (solver.WithParallelSearch). Only the LPT-head shard gets a team —
-	// every other shard stays sequential, so one request's fleet
-	// footprint grows by at most psearch-1 transient goroutines.
-	// Parallelism never changes answers, so psearch stays out of the
-	// result-cache key.
-	psearch int
 	// maxInflight bounds admitted requests; the admission semaphore is
 	// the ingest queue, and an arrival beyond the bound is answered 429
 	// + Retry-After instead of buffered.
@@ -142,10 +135,8 @@ type serverStats struct {
 	Panics          obs.Counter
 	WorkerPanics    obs.Counter
 	Solves          obs.Counter
-	// BatchedSolves counts addresses answered through the pooled batch
-	// driver (PR 10): a request's burst of litmus-sized addresses rides
-	// one fleet shard through coherence.SolveBatch instead of one shard
-	// each.
+	// BatchedSolves counts addresses answered through coherence.SolveBatch,
+	// which every coherence shard runs.
 	BatchedSolves obs.Counter
 }
 
@@ -197,11 +188,6 @@ type Server struct {
 	drain           *drainRate
 	brown           *brownout
 	completedShards atomic.Int64
-
-	// searchWorkersEff tracks the peak effective parallel-search team
-	// observed on any single address solve — the gauge behind
-	// memverifyd_search_workers_effective and /v1/stats.
-	searchWorkersEff atomic.Int64
 
 	// Chaos: the seeded injector (nil unless cfg.chaosEnabled) and the
 	// per-kind fired counters in the registry.
@@ -279,7 +265,7 @@ func newServer(cfg serverConfig) *Server {
 	reg.SetHelp("memverifyd_worker_panics_total", "Fleet worker panics recovered mid-shard.")
 	reg.SetHelp("memverifyd_solves_total", "Solver invocations actually started on fleet workers.")
 	reg.SetHelp("memverifyd_batched_solves_total",
-		"Addresses answered through the pooled batch driver (one fleet shard per burst of small addresses).")
+		"Coherence addresses solved through coherence.SolveBatch; every fleet shard runs it, so this counts every solved address.")
 	reg.SetHelp("memverifyd_chaos_injected_total", "Chaos faults injected, by kind.")
 	s.chaosFired = make(map[chaos.Kind]obs.Counter, len(chaos.Kinds()))
 	for _, k := range chaos.Kinds() {
@@ -297,13 +283,6 @@ func newServer(cfg serverConfig) *Server {
 	})
 	reg.SetHelp("memverifyd_workers", "Configured fleet size.")
 	reg.Gauge("memverifyd_workers").Set(int64(cfg.workers))
-	reg.SetHelp("memverifyd_search_workers", "Configured per-solve parallel-search team size (-psearch; 0/1 = sequential).")
-	reg.Gauge("memverifyd_search_workers").Set(int64(cfg.psearch))
-	reg.SetHelp("memverifyd_search_workers_effective",
-		"Peak parallel-search workers actually engaged on any single address solve.")
-	reg.GaugeFunc("memverifyd_search_workers_effective", func() float64 {
-		return float64(s.searchWorkersEff.Load())
-	})
 	reg.SetHelp("memverifyd_cache_len", "Result-cache entries.")
 	reg.GaugeFunc("memverifyd_cache_len", func() float64 { return float64(s.cache.len()) })
 	reg.SetHelp("memverifyd_brownout_state", "Brownout controller: 0 closed (full service), 1 half-open, 2 open (degrading).")
@@ -495,17 +474,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"workers_busy": s.workersBusy.Load(),
 		"workers":      s.cfg.workers,
 
-		"shed":                s.stats.Shed.Value(),
-		"deadline_expired":    s.stats.DeadlineExpired.Value(),
-		"expired_drops":       s.stats.ExpiredDrops.Value(),
-		"degraded":            s.stats.Degraded.Value(),
-		"panics":              s.stats.Panics.Value(),
-		"worker_panics":       s.stats.WorkerPanics.Value(),
-		"solves":              s.stats.Solves.Value(),
-		"batched_solves":      s.stats.BatchedSolves.Value(),
+		"shed":             s.stats.Shed.Value(),
+		"deadline_expired": s.stats.DeadlineExpired.Value(),
+		"expired_drops":    s.stats.ExpiredDrops.Value(),
+		"degraded":         s.stats.Degraded.Value(),
+		"panics":           s.stats.Panics.Value(),
+		"worker_panics":    s.stats.WorkerPanics.Value(),
+		"solves":           s.stats.Solves.Value(),
+		"batched_solves":   s.stats.BatchedSolves.Value(),
 
-		"search_workers":           s.cfg.psearch,
-		"search_workers_effective": s.searchWorkersEff.Load(),
 		"brownout_state":      bstate.String(),
 		"brownout_opens":      opens,
 		"queue_delay_ewma_ms": float64(ewma) / float64(time.Millisecond),
@@ -878,93 +855,62 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// batchMaxOps / batchMinAddrs bound the server's batch plan: an address
-// joins the batch when it has at most batchMaxOps memory operations, and
-// the batch forms only when at least batchMinAddrs qualify (batching a
-// single address just adds indirection to a normal shard).
-const (
-	batchMaxOps   = 32
-	batchMinAddrs = 2
-)
+// batchMaxOps bounds the addresses that share a fleet shard: every
+// address of at most batchMaxOps memory operations rides one shard,
+// and each larger address gets a shard of its own, so the searches that
+// can run long still spread across the fleet.
+const batchMaxOps = 32
 
-// planBatch marks which hardness-ordered addresses ride the pooled batch
-// driver. coherence.SolveBatch runs the same per-address ladder as
-// SolveAddr for every strategy, so the verdicts are identical either
-// way; only the address size decides.
-func (s *Server) planBatch(exec *memory.Execution, addrs []memory.Addr) []bool {
-	inBatch := make([]bool, len(addrs))
+// verifyCoherenceSharded fans the per-address VMC checks of one request
+// out over the shared worker fleet, largest projection first (the order
+// Verify uses), so one hot request cannot monopolize the fleet against
+// concurrent small ones. Every shard runs coherence.SolveBatch: the
+// request's small addresses share one shard, and each larger address
+// is a one-job shard.
+func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cfgOpts []solver.ConfigOption, tm *reqTimings, live *liveReq) (*VerifyResponse, error) {
+	v := coherence.NewVerifier(cfgOpts...)
+	addrs := coherence.AddressesByHardness(tr.Exec)
+	jobs := make([]coherence.BatchJob, len(addrs))
+	for i, a := range addrs {
+		jobs[i] = coherence.BatchJob{Exec: tr.Exec, Addr: a}
+	}
+	reports := make([]*coherence.AddrReport, len(addrs))
+	errs := make([]error, len(addrs))
+
+	// Hardness order puts the large addresses first, so the shards are
+	// [0,1), [1,2), …, [small,len): the small tail is one shard.
 	sizes := make(map[memory.Addr]int, len(addrs))
-	for _, h := range exec.Histories {
+	for _, h := range tr.Exec.Histories {
 		for _, o := range h {
 			if o.IsMemory() {
 				sizes[o.Addr]++
 			}
 		}
 	}
-	n := 0
-	for i, a := range addrs {
-		if sizes[a] <= batchMaxOps {
-			inBatch[i] = true
-			n++
-		}
-	}
-	if n < batchMinAddrs {
-		return make([]bool, len(addrs))
-	}
-	return inBatch
-}
-
-// verifyCoherenceSharded fans the per-address VMC checks of one request
-// out over the shared worker fleet, largest projection first (the LPT
-// order parallel verification uses), so one hot request cannot
-// monopolize the fleet against concurrent small ones. Two PR 10
-// refinements: the request's litmus-sized addresses are solved as a
-// single fleet shard through the pooled batch driver (planBatch), and
-// with -psearch the hardest address splits its search across a worker
-// team sharing one memo table.
-func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cfgOpts []solver.ConfigOption, tm *reqTimings, live *liveReq) (*VerifyResponse, error) {
-	v := coherence.NewVerifier(cfgOpts...)
-	addrs := coherence.AddressesByHardness(tr.Exec)
-	reports := make([]*coherence.AddrReport, len(addrs))
-	errs := make([]error, len(addrs))
-	inBatch := s.planBatch(tr.Exec, addrs)
-
-	// The team verifier is used for the hardest shard only (addrs[0], the
-	// LPT head): giving every shard a team would multiply the request's
-	// fleet footprint by the team size for no wall-clock gain.
-	vTeam := v
-	if s.cfg.psearch > 1 {
-		team := append(append([]solver.ConfigOption{}, cfgOpts...),
-			solver.WithBudget(solver.WithParallelSearch(s.cfg.psearch)))
-		vTeam = coherence.NewVerifier(team...)
-	}
-
 	var wg sync.WaitGroup
-	enqueueFailed := false
-	if batchIdx := indicesOf(inBatch); len(batchIdx) > 0 {
-		jobs := make([]coherence.BatchJob, len(batchIdx))
-		for j, i := range batchIdx {
-			jobs[j] = coherence.BatchJob{Exec: tr.Exec, Addr: addrs[i]}
+	for lo, hi := 0, 0; lo < len(addrs); lo = hi {
+		hi = lo + 1
+		if sizes[addrs[lo]] <= batchMaxOps {
+			hi = len(addrs)
 		}
 		wg.Add(1)
 		if err := s.enqueueTimed(ctx, tm, func() {
 			defer wg.Done()
 			berr := s.runProtected(ctx, func() error {
-				res := v.SolveBatch(ctx, jobs)
-				for j, i := range batchIdx {
-					if res[j].Err != nil {
-						errs[i] = res[j].Err
+				for j, br := range v.SolveBatch(ctx, jobs[lo:hi]) {
+					if br.Err != nil {
+						errs[lo+j] = br.Err
 					} else {
-						reports[i] = res[j].Report(jobs[j].Addr)
+						reports[lo+j] = br.Report(addrs[lo+j])
 					}
 				}
-				s.stats.BatchedSolves.Add(int64(len(jobs)))
+				s.stats.BatchedSolves.Add(int64(hi - lo))
 				return nil
 			})
 			if berr != nil {
-				// Panic or expired-at-dequeue: every batched address the
-				// driver did not answer fails with the shard's error.
-				for _, i := range batchIdx {
+				// Panic or expired-at-dequeue: every address the driver
+				// did not answer fails with the shard's error.
+				for i := lo; i < hi; i++ {
 					if errs[i] == nil && reports[i] == nil {
 						errs[i] = berr
 					}
@@ -972,34 +918,11 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 			}
 		}); err != nil {
 			wg.Done()
-			for _, i := range batchIdx {
-				errs[i] = err
-			}
-			enqueueFailed = true
-		}
-	}
-	for i, a := range addrs {
-		if inBatch[i] || enqueueFailed {
-			continue
-		}
-		i, a := i, a
-		sv := v
-		if i == 0 {
-			sv = vTeam
-		}
-		wg.Add(1)
-		if err := s.enqueueTimed(ctx, tm, func() {
-			defer wg.Done()
-			errs[i] = s.runProtected(ctx, func() error {
-				var serr error
-				reports[i], serr = sv.SolveAddr(ctx, tr.Exec, a)
-				return serr
-			})
-		}); err != nil {
-			wg.Done()
 			// The request is gone; shards already queued notice the
 			// cancelled context and return quickly.
-			errs[i] = err
+			for i := lo; i < hi; i++ {
+				errs[i] = err
+			}
 			break
 		}
 	}
@@ -1008,11 +931,16 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 	s.reqs.setStage(live, "merge")
 	t0 := time.Now()
 	defer func() { tm.addMerge(time.Since(t0)) }()
+	byAddr := make([]int, len(addrs))
+	for i := range byAddr {
+		byAddr[i] = i
+	}
+	sort.Slice(byAddr, func(i, j int) bool { return addrs[byAddr[i]] < addrs[byAddr[j]] })
 	resp := &VerifyResponse{Verdict: "coherent"}
 	var agg solver.Stats
 	var budget *solver.ErrBudgetExceeded
-	for _, a := range tr.Exec.Addresses() { // report in address order
-		i := indexOf(addrs, a)
+	for _, i := range byAddr { // report in address order
+		a := addrs[i]
 		if errs[i] != nil {
 			be, ok := solver.AsBudgetError(errs[i])
 			if !ok {
@@ -1033,12 +961,6 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 		out := AddrResult{Addr: tr.Name(a), Verdict: "unknown", States: ar.Stats.States}
 		if ar.Result != nil {
 			out.Algorithm = ar.Result.Algorithm
-		}
-		if w := ar.Stats.SearchWorkers; w > 1 {
-			// Effective search parallelism: workers that actually engaged
-			// on this address's parallel search (psearch teams only).
-			out.Workers = w
-			atomicMax(&s.searchWorkersEff, int64(w))
 		}
 		switch ar.Verdict {
 		case coherence.VerdictCoherent:
@@ -1107,26 +1029,6 @@ func (s *Server) verifyConsistency(ctx context.Context, model consistency.Model,
 		resp.Verdict = "inconsistent"
 	}
 	return resp, nil
-}
-
-// indicesOf returns the indices whose mark is set.
-func indicesOf(marks []bool) []int {
-	var out []int
-	for i, m := range marks {
-		if m {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func indexOf(addrs []memory.Addr, a memory.Addr) int {
-	for i, x := range addrs {
-		if x == a {
-			return i
-		}
-	}
-	return -1
 }
 
 func orDefault(s, def string) string {

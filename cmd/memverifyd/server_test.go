@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"memverify/internal/coherence"
+	"memverify/internal/memory"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
 	"memverify/internal/trace"
@@ -408,6 +410,70 @@ func TestCancellationMidRequest(t *testing.T) {
 			t.Fatal("server never recorded the cancellation")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShardedMatchesVerify: a request mixing two addresses of more than
+// batchMaxOps ops with small ones runs one shard per large address plus
+// one for the small tail, and answers each address as in-process Verify
+// does. Every address is counted as a batched solve.
+func TestShardedMatchesVerify(t *testing.T) {
+	exec := &memory.Execution{Histories: make([]memory.History, 3)}
+	sizes := []int{40, 6, 50, 3, 8}
+	for a, n := range sizes {
+		addr := memory.Addr(a)
+		exec.SetInitial(addr, 0)
+		cur := memory.Value(0)
+		for i := 0; i < n; i++ {
+			p := i % 3
+			if i%2 == 0 {
+				cur = memory.Value(100*a + i + 1)
+				exec.Histories[p] = append(exec.Histories[p], memory.W(addr, cur))
+				continue
+			}
+			v := cur
+			if i == 3 && a%2 == 0 {
+				v = 9999 // phantom read: addresses 0, 2 and 4 are incoherent
+			}
+			exec.Histories[p] = append(exec.Histories[p], memory.R(addr, v))
+		}
+	}
+	var text strings.Builder
+	if err := trace.Write(&text, trace.New(exec)); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Read(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, serverConfig{workers: 2})
+	resp, vr := postTrace(t, ts, "?debug=timings", text.String())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if len(vr.Addrs) != len(want.Addrs) {
+		t.Fatalf("%d per-address results, want %d", len(vr.Addrs), len(want.Addrs))
+	}
+	for i, ar := range want.Addrs {
+		got := vr.Addrs[i]
+		if got.Addr != tr.Name(ar.Addr) || got.Verdict != ar.Verdict.String() {
+			t.Errorf("address %d: served %s %s, Verify says %s %s",
+				i, got.Addr, got.Verdict, tr.Name(ar.Addr), ar.Verdict)
+		}
+	}
+	if vr.Verdict != "incoherent" {
+		t.Errorf("verdict %q, want incoherent", vr.Verdict)
+	}
+	if shards := vr.Timings["shards"]; shards != 3 {
+		t.Errorf("%v shards, want 3: one per large address and one for the small ones", shards)
+	}
+	if n := s.stats.BatchedSolves.Value(); n != int64(len(sizes)) {
+		t.Errorf("batched solves = %d, want %d", n, len(sizes))
 	}
 }
 

@@ -29,11 +29,20 @@ func batchJobs(rng *rand.Rand, n int) []BatchJob {
 }
 
 // TestSolveBatchParity: SolveBatch must agree with a loop over
-// Verifier.SolveAddr on verdict, decidedness and algorithm, and its
-// certificates must check against the original executions.
+// Verifier.SolveAddr on verdict, decidedness and algorithm, inline and
+// fanned out, and its certificates must check against the original
+// executions.
 func TestSolveBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	jobs := batchJobs(rng, 500)
+	// Multi-address executions: each one's jobs share a grouped
+	// projection and, under several workers, spread across them.
+	for k := 0; k < 40; k++ {
+		exec := multiAddressInstance(rng, 2+rng.Intn(5))
+		for _, a := range exec.Addresses() {
+			jobs = append(jobs, BatchJob{Exec: exec, Addr: a})
+		}
+	}
 	for _, workers := range []int{1, 4} {
 		v := NewVerifier(solver.WithWorkers(workers))
 		got := v.SolveBatch(context.Background(), jobs)

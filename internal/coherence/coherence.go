@@ -26,12 +26,13 @@
 // The strategy names the rungs that run (solver.StrategyExact: 3;
 // StrategyAuto, the default: 2–3; StrategyFast: 1–3;
 // StrategyResilient: 1–4). Verifier is the facade, constructed with the
-// functional options of internal/solver; Verifier.Verify checks each
-// address independently, per the paper's definition of a coherent
-// multiprocessor execution, optionally fanned out across workers
-// (solver.WithWorkers) in largest-projection-first order, and
-// Verifier.SolveBatch runs the same ladder over many small jobs with
-// pooled scratch.
+// functional options of internal/solver. The paper defines a coherent
+// multiprocessor execution address by address, so every multi-address
+// entry point is a set of independent single-address jobs, and
+// Verifier.SolveBatch is the one driver that runs them: pooled scratch,
+// one projection pass per execution, and an optional fan-out across
+// workers (solver.WithWorkers). Verifier.Verify is one SolveBatch over
+// an execution's addresses in largest-projection-first order.
 //
 // Every entry point takes a context.Context and honors the unified
 // resource budget of internal/solver: cancellation, the per-address

@@ -89,7 +89,7 @@ func TestParallelDeterministicUnderBudget(t *testing.T) {
 	opts := &Options{MaxStates: 1}
 
 	for rep := 0; rep < 30; rep++ {
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			partial, err := verifyWorkers(exec, opts, workers)
 			if err == nil {
 				t.Fatalf("rep %d workers %d: budget of 1 state did not trip", rep, workers)
@@ -133,12 +133,7 @@ func TestHardnessOrder(t *testing.T) {
 		memory.History{memory.W(2, 1), memory.W(2, 2), memory.W(2, 3), memory.W(0, 1), memory.W(0, 2)},
 		memory.History{memory.W(2, 4), memory.W(1, 1), memory.W(3, 1), memory.W(3, 2)},
 	)
-	addrs := exec.Addresses() // [0 1 2 3], sizes 2,1,4,2
-	order := hardnessOrder(addrs, projectionSizes(exec))
-	got := make([]memory.Addr, len(order))
-	for i, idx := range order {
-		got[i] = addrs[idx]
-	}
+	got := AddressesByHardness(exec)  // sizes: 0→2, 1→1, 2→4, 3→2
 	want := []memory.Addr{2, 0, 3, 1} // size 4, then the size-2 tie by address, then size 1
 	for i := range want {
 		if got[i] != want[i] {

@@ -244,7 +244,7 @@ func TestParallelSearchIncoherentComplete(t *testing.T) {
 
 // TestVerifyParallelWithTeams: the execution-level parallel verify with
 // a psearch team configured must stay correct across a multi-address
-// execution (the LPT head gets the team, the rest go solo).
+// execution, where every concurrent per-address search gets a team.
 func TestVerifyParallelWithTeams(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	exec := &memory.Execution{}

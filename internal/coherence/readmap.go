@@ -70,11 +70,11 @@ type readMapScratch struct {
 	readsTail []int32
 	readsNext []int32
 	readsRef  []memory.Ref
-	adj      [][]int
-	indeg    []int
-	edgeSeen map[[2]int]bool
-	topo     []int
-	sched    []memory.Ref
+	adj       [][]int
+	indeg     []int
+	edgeSeen  map[[2]int]bool
+	topo      []int
+	sched     []memory.Ref
 }
 
 var readMapPool = sync.Pool{New: func() any {

@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
+	"sort"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
@@ -17,9 +16,9 @@ import (
 // escalation ladder (ladder.go) as far as the configured strategy
 // allows. One Verifier, configured once with the functional options of
 // internal/solver, serves every policy: SolveAddr decides one address,
-// Verify (sequential, parallel or checkpointed) a whole execution,
-// VerifyCheckpoint resumes explicitly, and SolveBatch runs many small
-// jobs.
+// SolveBatch any set of addresses, Verify a whole execution (through
+// SolveBatch, or sequentially when checkpointed), and VerifyCheckpoint
+// resumes explicitly.
 //
 //	v := coherence.NewVerifier(
 //	        solver.WithStrategy(solver.StrategyFast),
@@ -140,7 +139,7 @@ func (v *Verifier) SolveAddr(ctx context.Context, exec *memory.Execution, addr m
 // solveAddrOpts projects one address of a validated execution and runs
 // the ladder on it with an explicit per-solve Options value (the
 // checkpointed loop derives a per-address variant of the configured
-// budget, parallel verification a solo or team variant).
+// budget).
 func (v *Verifier) solveAddrOpts(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*AddrReport, error) {
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
@@ -157,12 +156,13 @@ func (v *Verifier) solveAddrOpts(ctx context.Context, exec *memory.Execution, ad
 }
 
 // Verify checks every address of the execution under the configured
-// strategy, budget and parallelism.
+// strategy, budget and parallelism: one SolveBatch job per address, in
+// AddressesByHardness order, so the heaviest addresses start first.
 //
-// Error semantics follow the strategy: the exact strategies abort on
-// the first per-address budget trip (in address order — deterministic
-// even with workers), returning the partial Report alongside the
-// *solver.ErrBudgetExceeded; StrategyResilient degrades the affected
+// Error semantics follow the strategy: the exact strategies report a
+// per-address budget trip as an error — the one for the lowest failing
+// address, whatever the worker count — alongside the partial Report of
+// the addresses below it; StrategyResilient degrades the affected
 // address and continues, so its Report always covers every address
 // unless the context is cancelled.
 // With solver.WithCheckpoint configured, verification is sequential,
@@ -175,108 +175,23 @@ func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Report,
 	if v.cfg.CheckpointPath != "" {
 		return v.verifyCheckpointFile(ctx, exec)
 	}
-	if v.cfg.Workers > 1 {
-		return v.verifyParallel(ctx, exec, v.cfg.Workers)
+	addrs := AddressesByHardness(exec)
+	jobs := make([]BatchJob, len(addrs))
+	for i, a := range addrs {
+		jobs[i] = BatchJob{Exec: exec, Addr: a}
 	}
-	return v.verifySequential(ctx, exec)
-}
-
-// verifySequential is the address-order loop behind sequential Verify.
-func (v *Verifier) verifySequential(ctx context.Context, exec *memory.Execution) (*Report, error) {
+	res := v.SolveBatch(ctx, jobs)
+	byAddr := make([]int, len(addrs))
+	for i := range byAddr {
+		byAddr[i] = i
+	}
+	sort.Slice(byAddr, func(i, j int) bool { return addrs[byAddr[i]] < addrs[byAddr[j]] })
 	rep := &Report{}
-	for _, a := range exec.Addresses() {
-		ar, err := v.solveAddrOpts(ctx, exec, a, v.cfg.Options)
-		if err != nil {
-			return rep, err
+	for _, i := range byAddr {
+		if res[i].Err != nil {
+			return rep, res[i].Err
 		}
-		rep.add(ar)
-	}
-	rep.finalize()
-	return rep, nil
-}
-
-// verifyParallel fans the per-address checks out across workers
-// goroutines. Coherence is defined address-by-address (Section 3), so
-// the checks are embarrassingly parallel; on wide multi-address traces
-// this is a near-linear speedup.
-//
-// Results are deterministic: each per-address solve is independent and
-// runs to its own completion or budget regardless of goroutine
-// scheduling, and when several addresses fail the returned error is
-// always the one for the lowest address — so two runs over the same
-// input produce diffable output.
-//
-// Addresses are dispatched largest-projection-first (see hardnessOrder):
-// the per-address search is worst-case exponential in projection size,
-// so starting the heaviest address last would leave one worker grinding
-// alone after the rest drain. Dispatch order affects only load balance,
-// never results.
-//
-// When the configuration also carries solver.WithParallelSearch, the
-// intra-instance worker team goes to the hardest address only (the LPT
-// head): that address is the one whose single search dominates the
-// makespan, and giving every concurrent per-address solve its own team
-// would oversubscribe the machine workers × team wide. The remaining
-// addresses solve sequentially as before. Parallelism never changes
-// verdicts, so this is purely a scheduling decision.
-func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, workers int) (*Report, error) {
-	addrs := exec.Addresses()
-	if workers > len(addrs) {
-		workers = len(addrs)
-	}
-	if workers <= 1 {
-		return v.verifySequential(ctx, exec)
-	}
-
-	order := hardnessOrder(addrs, projectionSizes(exec))
-	teamOpts, soloOpts := v.cfg.Options, v.cfg.Options
-	hardest := -1
-	if teamOpts.PSearch() > 1 && len(addrs) > 1 {
-		hardest = order[0]
-		solo := teamOpts.Clone()
-		solo.ParallelSearch = 0
-		soloOpts = solo
-	}
-
-	// Workers write into per-address slots, so no result ordering
-	// depends on channel receive order.
-	reports := make([]*AddrReport, len(addrs))
-	errs := make([]error, len(addrs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	tr := obs.TracerFrom(ctx)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wctx := ctx
-			if tr != nil {
-				sp, sctx := tr.BeginWorker(ctx, "verify-worker", w)
-				defer sp.EndWorker(w, "done")
-				wctx = sctx
-			}
-			for i := range next {
-				opts := soloOpts
-				if i == hardest {
-					opts = teamOpts
-				}
-				reports[i], errs[i] = v.solveAddrOpts(wctx, exec, addrs[i], opts)
-			}
-		}()
-	}
-	for _, i := range order {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	rep := &Report{}
-	for i := range addrs {
-		if errs[i] != nil {
-			return rep, errs[i]
-		}
-		rep.add(reports[i])
+		rep.add(res[i].Report(addrs[i]))
 	}
 	rep.finalize()
 	return rep, nil
@@ -346,16 +261,31 @@ func (v *Verifier) verifyCheckpointFile(ctx context.Context, exec *memory.Execut
 }
 
 // AddressesByHardness returns the execution's addresses ordered
-// largest-projection-first (ties by ascending address) — the LPT
-// dispatch order used by parallel verification. The verification
-// service uses it to shard a request's per-address work across its
-// global worker fleet in the same order.
+// largest-projection-first, ties by ascending address. The projection
+// size is the only cheap hardness signal before solving, and the
+// per-address search is worst-case exponential in it, so dispatching the
+// largest first (LPT scheduling) starts the potentially long searches at
+// once instead of behind a tail of trivial addresses. Verify and the
+// verification service dispatch in this order; it affects only load
+// balance, never results.
 func AddressesByHardness(exec *memory.Execution) []memory.Addr {
-	addrs := exec.Addresses()
-	sizes := projectionSizes(exec)
-	out := make([]memory.Addr, len(addrs))
-	for i, idx := range hardnessOrder(addrs, sizes) {
-		out[i] = addrs[idx]
+	sizes := make(map[memory.Addr]int)
+	for _, h := range exec.Histories {
+		for _, o := range h {
+			if o.IsMemory() {
+				sizes[o.Addr]++
+			}
+		}
 	}
+	out := make([]memory.Addr, 0, len(sizes))
+	for a := range sizes {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if si, sj := sizes[out[i]], sizes[out[j]]; si != sj {
+			return si > sj
+		}
+		return out[i] < out[j]
+	})
 	return out
 }

@@ -176,10 +176,12 @@ func (s *System) fetchCurrent(a memory.Addr, e *entry) memory.Value {
 	return s.memRead(a)
 }
 
-// invalidateSharers sends invalidations to every sharer except skip.
+// invalidateSharers sends invalidations to every sharer except skip, in
+// node order: a fault may fire at each one, so the order decides which
+// sharer a seeded fault forgets.
 func (s *System) invalidateSharers(a memory.Addr, e *entry, skip int) {
-	for node := range e.sharers {
-		if node == skip {
+	for node := 0; node < s.cfg.Nodes; node++ {
+		if node == skip || !e.sharers[node] {
 			continue
 		}
 		s.stats.Invalidations++

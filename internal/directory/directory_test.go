@@ -3,6 +3,7 @@ package directory
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"memverify/internal/coherence"
@@ -279,6 +280,29 @@ func TestProbabilisticInjection(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Errorf("none of %d faulty runs detected", fired)
+	}
+}
+
+// TestSeededFaultsReproducible: the same seed, program and schedule
+// must give the same execution. The forget-sharer fault draws its
+// randomness while the directory walks its sharers, so the walk must
+// visit them in a fixed order.
+func TestSeededFaultsReproducible(t *testing.T) {
+	simulate := func() (*memory.Execution, int) {
+		rng := rand.New(rand.NewSource(11))
+		s := New(Config{Nodes: 4, Faults: Seeded(FaultForgetSharer, 0.5, 5)})
+		exec := run(s, mesi.RandomProgram(rng, 4, 40, 2, 0.3, 0.1), rng)
+		return exec, s.Stats().FaultsFired
+	}
+	want, fired := simulate()
+	if fired < 2 {
+		t.Fatalf("only %d faults fired; the check needs several", fired)
+	}
+	for rep := 0; rep < 20; rep++ {
+		got, _ := simulate()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rerun %d with the same seed gave a different execution", rep)
+		}
 	}
 }
 

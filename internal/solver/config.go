@@ -86,9 +86,10 @@ type Config struct {
 	Options *Options
 	// Strategy picks the decision-procedure family.
 	Strategy Strategy
-	// Workers fans the per-address checks of an execution-level Verify
-	// out across this many goroutines, dispatched
-	// largest-projection-first. 0 or 1 verifies sequentially.
+	// Workers fans the per-address checks of a batch (coherence
+	// SolveBatch, and Verify, which runs one) out across this many
+	// goroutines; Verify dispatches largest-projection-first. 0 or 1
+	// solves them one after another on the caller's goroutine.
 	Workers int
 	// WriteOrders optionally supplies observed per-address write orders
 	// (the §5.2 augmentation): used as ladder hints by
@@ -128,8 +129,10 @@ func (c *Config) Clone() *Config {
 // WithStrategy selects the decision-procedure family.
 func WithStrategy(s Strategy) ConfigOption { return func(c *Config) { c.Strategy = s } }
 
-// WithWorkers fans execution-level verification out across n workers
-// (0 or 1 = sequential).
+// WithWorkers fans the per-address checks of Verify and SolveBatch out
+// across n workers (0 or 1 = sequential). It multiplies with
+// WithParallelSearch: each worker's search may start its own team, so up
+// to n × team search goroutines run at once.
 func WithWorkers(n int) ConfigOption { return func(c *Config) { c.Workers = n } }
 
 // WithBudget applies per-solve Options (WithMaxStates, WithTimeout,

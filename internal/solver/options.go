@@ -134,7 +134,8 @@ func WithoutPackedMemo() Option { return func(o *Options) { o.DisablePackedMemo 
 
 // WithParallelSearch lets a single exact search fan its DFS frontier out
 // across n workers (see Options.ParallelSearch). 0 or 1 searches
-// sequentially.
+// sequentially. It applies to every search, so it multiplies with
+// WithWorkers: n concurrent per-address solves may each run a team.
 func WithParallelSearch(n int) Option { return func(o *Options) { o.ParallelSearch = n } }
 
 // Limit returns the state bound (0 = unlimited). Nil-safe.
